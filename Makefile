@@ -42,14 +42,11 @@ test:
 # --ignore-wall --ignore-sim-jobs — the sharded engine's contract is
 # that the domain count is unobservable in every deterministic field,
 # and sim_jobs must be erased from the match key for that comparison
-# to exist at all. The remote executor
-# is gated the same way but under CHAOS: a --workers 2 sweep with a
-# seeded plan that kills each gen-0 worker at its 3rd task AND hangs
-# one task past a 5 s deadline must still produce a JSON identical
-# (minus wall) to the sequential sweep, with the retries/respawns
-# visible on stderr; and the 62-combo equivalence matrix regenerated
-# through chaos workers must be byte-identical to the checked-in
-# golden.
+# to exist at all. The 62-combo equivalence matrix is regenerated at
+# --jobs 4 and must be byte-identical to the checked-in golden, proving
+# the pool fan-out reproduces it exactly. Finally, an unknown
+# experiment name must make `cvm_race table` fail with a usage error
+# (Cmdliner's exit 124), not print a message and exit 0.
 check:
 	dune build
 	dune runtest
@@ -78,10 +75,9 @@ check:
 	dune exec bench/main.exe -- --small --jobs 1 --procs 16 --sim-jobs 1 sweep --json _build/bench_sj1.json
 	dune exec bench/main.exe -- --small --jobs 1 --procs 16 --sim-jobs 2 sweep --json _build/bench_sj2.json
 	dune exec bench/compare.exe -- _build/bench_sj1.json _build/bench_sj2.json --ignore-wall --ignore-sim-jobs
-	dune exec bench/main.exe -- --small --workers 2 --procs 4 --chaos "seed=7,kill-after=3,hang=0:1:2" --task-deadline 5 sweep --json _build/bench_w2.json
-	dune exec bench/compare.exe -- _build/bench_j1.json _build/bench_w2.json --ignore-wall
-	dune exec test/gen_equiv_golden.exe -- --workers 2 --chaos "seed=11,kill-after=5" _build/perf_equiv_w2.json
-	cmp test/golden/perf_equiv.json _build/perf_equiv_w2.json
+	dune exec test/gen_equiv_golden.exe -- --jobs 4 _build/perf_equiv_j4.json
+	cmp test/golden/perf_equiv.json _build/perf_equiv_j4.json
+	dune exec bin/cvm_race.exe -- table bogus; test $$? -eq 124
 
 # The full drop-rate sweep over every application (slow; paper scale).
 faults:

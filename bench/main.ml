@@ -226,18 +226,15 @@ let run_faults () =
 (* The machine-readable sweep: one simulated run per (app, nprocs,
    detect) point, timed and bracketed by [Gc.quick_stat] so allocation
    pressure is part of the record. The measurement itself is
-   [Core.Experiments.sweep_point] (self-contained, silent), so the same
-   point runs on a pool domain or in a remote worker process; rendering
-   happens here on the main domain, in submission order. Under
-   [--jobs > 1] the GC deltas bill only the running domain's minor heap
-   but share the major heap with concurrent points (under [--workers]
-   each point gets a whole process heap), and wall-clock includes
-   contention; both are measurement fields, not outcomes, and
-   bench/compare.exe treats only the deterministic fields as gating. *)
+   [Core.Experiments.sweep_point] (self-contained, silent), so any pool
+   domain can run it; rendering happens here on the main domain, in
+   submission order. Under [--jobs > 1] the GC deltas bill only the
+   running domain's minor heap but share the major heap with concurrent
+   points, and wall-clock includes contention; both are measurement
+   fields, not outcomes, and bench/compare.exe treats only the
+   deterministic fields as gating. *)
 
 let sweep_entries : Bench_json.t list ref = ref []
-
-let executor_entry : Bench_json.t option ref = ref None
 
 let json_of_sweep_point (sp : Core.Experiments.sweep_point) =
   let stats = sp.Core.Experiments.sp_stats in
@@ -307,18 +304,6 @@ let line_of_sweep_point (sp : Core.Experiments.sweep_point) =
 
 let sweep_procs : int list option ref = ref None
 
-(* Remote-executor flags: 0 workers = in-process domains (--jobs). *)
-let workers = ref 0
-let chaos_spec = ref ""
-let task_deadline = ref 600.0
-
-let json_of_executor_stats (st : Parallel.Executor_stats.t) =
-  let open Bench_json in
-  Obj
-    (("mode", String st.Parallel.Executor_stats.mode)
-    :: ("workers", Int st.Parallel.Executor_stats.workers)
-    :: List.map (fun (k, v) -> (k, Int v)) (Parallel.Executor_stats.fields st))
-
 let run_sweep () =
   section
     (Printf.sprintf "Scale sweep (%s inputs): wall clock, allocation, wire totals"
@@ -349,39 +334,12 @@ let run_sweep () =
   in
   wall (fun () ->
       let results =
-        if !workers > 0 then begin
-          let chaos =
-            match Parallel.Chaos.parse !chaos_spec with
-            | Ok plan -> plan
-            | Error msg ->
-                prerr_endline msg;
-                exit 2
-          in
-          let config =
-            {
-              (Parallel.Remote.default_config ~workers:!workers) with
-              Parallel.Remote.task_deadline_s = !task_deadline;
-              chaos;
-            }
-          in
-          Parallel.Remote.with_executor ~config
-            ~run:(Core.Tasks.runner ~clock:now_s ())
-            (fun ex ->
-              let rows =
-                Core.Tasks.sweep_points ?sim_jobs:!sim_jobs ~scale:!scale ~ex points
-              in
-              let st = ex.Parallel.Pool.ex_stats () in
-              executor_entry := Some (json_of_executor_stats st);
-              Format.eprintf "%a@." Parallel.Executor_stats.pp st;
-              rows)
-        end
-        else
-          Parallel.Pool.with_pool ~jobs:!jobs (fun pool ->
-              Parallel.Pool.map_exn pool
-                (fun (name, nprocs, detect, elide, backend) ->
-                  Core.Experiments.sweep_point ?sim_jobs:!sim_jobs ~clock:now_s ~backend
-                    ~scale:!scale ~nprocs ~detect ~elide name)
-                points)
+        Parallel.Pool.with_pool ~jobs:!jobs (fun pool ->
+            Parallel.Pool.map_exn pool
+              (fun (name, nprocs, detect, elide, backend) ->
+                Core.Experiments.sweep_point ?sim_jobs:!sim_jobs ~clock:now_s ~backend
+                  ~scale:!scale ~nprocs ~detect ~elide name)
+              points)
       in
       List.iter
         (fun sp ->
@@ -442,21 +400,16 @@ let write_json path =
   let open Bench_json in
   let v =
     Obj
-      ([
-         ("schema", String "cvm-race-bench/1");
-         ("scale", String (scale_name ()));
-         ("entries", List (List.rev !sweep_entries));
-       ]
-      @ (match !executor_entry with
-        | Some ex -> [ ("executor", ex) ]
-        | None -> [])
-      @ [
-          ( "sections",
-            List
-              (List.rev_map
-                 (fun (name, dt) -> Obj [ ("name", String name); ("wall_s", Float dt) ])
-                 !section_walls) );
-        ])
+      [
+        ("schema", String "cvm-race-bench/1");
+        ("scale", String (scale_name ()));
+        ("entries", List (List.rev !sweep_entries));
+        ( "sections",
+          List
+            (List.rev_map
+               (fun (name, dt) -> Obj [ ("name", String name); ("wall_s", Float dt) ])
+               !section_walls) );
+      ]
   in
   to_file path v;
   Format.fprintf ppf "@.wrote %s@." path
@@ -477,8 +430,6 @@ let all () =
   run_micro ()
 
 let () =
-  (* if this process was spawned as a remote worker, serve tasks and exit *)
-  Parallel.Remote.maybe_worker ~run:(Core.Tasks.runner ~clock:now_s ()) ();
   let args = List.tl (Array.to_list Sys.argv) in
   let rec parse_flags = function
     | "--small" :: rest ->
@@ -536,32 +487,6 @@ let () =
         parse_flags rest
     | "--sim-jobs" :: [] ->
         prerr_endline "--sim-jobs requires a positive integer";
-        exit 2
-    | "--workers" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some n when n >= 1 -> workers := n
-        | _ ->
-            prerr_endline "--workers requires a positive integer";
-            exit 2);
-        parse_flags rest
-    | "--workers" :: [] ->
-        prerr_endline "--workers requires a positive integer";
-        exit 2
-    | "--chaos" :: spec :: rest ->
-        chaos_spec := spec;
-        parse_flags rest
-    | "--chaos" :: [] ->
-        prerr_endline "--chaos requires a plan spec (see docs/PARALLEL.md)";
-        exit 2
-    | "--task-deadline" :: s :: rest ->
-        (match float_of_string_opt s with
-        | Some s when s > 0.0 -> task_deadline := s
-        | _ ->
-            prerr_endline "--task-deadline requires a positive number of seconds";
-            exit 2);
-        parse_flags rest
-    | "--task-deadline" :: [] ->
-        prerr_endline "--task-deadline requires a positive number of seconds";
         exit 2
     | arg :: rest -> arg :: parse_flags rest
     | [] -> []

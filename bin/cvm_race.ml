@@ -196,53 +196,7 @@ let elide_arg =
   in
   Arg.(value & flag & info [ "elide" ] ~doc)
 
-let workers_arg =
-  let doc =
-    "Fan the experiment's independent runs over $(docv) separate worker $(i,processes) \
-     (the fault-tolerant remote executor) instead of in-process domains. Output is \
-     identical to $(b,--jobs 1); executor statistics go to stderr."
-  in
-  Arg.(value & opt int 0 & info [ "workers" ] ~docv:"N" ~doc)
-
-let chaos_arg =
-  let doc =
-    "Seeded failure plan injected into the remote executor's workers (testing the \
-     degradation ladder; e.g. 'seed=7,kill-after=3'). Grammar in docs/PARALLEL.md."
-  in
-  Arg.(value & opt string "" & info [ "chaos" ] ~docv:"SPEC" ~doc)
-
-let task_deadline_arg =
-  let doc = "Remote executor: per-task wall-clock deadline in seconds." in
-  Arg.(value & opt float 600.0 & info [ "task-deadline" ] ~docv:"S" ~doc)
-
 let ppf = Format.std_formatter
-
-let parse_chaos spec =
-  match Parallel.Chaos.parse spec with
-  | Ok plan -> plan
-  | Error msg ->
-      Format.eprintf "%s@." msg;
-      exit 2
-
-(* Experiment fan-outs run through an executor: in-process (inline or
-   domains) by default, worker processes with [--workers N]. Stats go
-   to stderr so stdout stays byte-comparable across executors. *)
-let with_executor ~jobs ~workers ~chaos ~task_deadline f =
-  let run = Core.Tasks.runner () in
-  if workers > 0 then begin
-    let config =
-      {
-        (Parallel.Remote.default_config ~workers) with
-        Parallel.Remote.task_deadline_s = task_deadline;
-        chaos = parse_chaos chaos;
-      }
-    in
-    Parallel.Remote.with_executor ~config ~run (fun ex ->
-        let result = f ex in
-        Format.eprintf "%a@." Parallel.Executor_stats.pp (ex.Parallel.Pool.ex_stats ());
-        result)
-  end
-  else f (Parallel.Pool.task_executor ~jobs ~run ())
 
 let config ~backend ~protocol ~no_detect ~first_race_only ~stores_from_diffs ~oracle
     ~gc_epochs ~elide ~sim_jobs =
@@ -600,39 +554,52 @@ let trace_command =
           ($(b,--chrome)).")
     term
 
+type experiment = Table1 | Table2 | Table3 | Figure3 | Figure4 | Figure5 | Protocols | Faults
+
+let experiments =
+  [
+    ("table1", Table1);
+    ("table2", Table2);
+    ("table3", Table3);
+    ("figure3", Figure3);
+    ("figure4", Figure4);
+    ("figure5", Figure5);
+    ("protocols", Protocols);
+    ("faults", Faults);
+  ]
+
 let table_command =
   let which_arg =
-    let doc = "Which experiment: table1, table2, table3, figure3, figure4, figure5, faults." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPERIMENT" ~doc)
+    let doc = Printf.sprintf "Which experiment: %s." (Arg.doc_alts_enum experiments) in
+    Arg.(required & pos 0 (some (enum experiments)) None & info [] ~docv:"EXPERIMENT" ~doc)
   in
-  let table which scale backend sim_jobs jobs workers chaos task_deadline =
+  let table which scale backend sim_jobs jobs =
     (* figure5, protocols and faults are DSM-mechanism experiments
        (LRC-internal protocol variants, wire faults); --backend does not
        apply to them *)
-    let lrc_only = [ "figure5"; "protocols"; "faults" ] in
-    if backend <> "lrc" && List.mem which lrc_only then
-      Format.fprintf ppf "note: %s is DSM-specific; --backend %s ignored@." which backend;
-    with_executor ~jobs ~workers ~chaos ~task_deadline (fun ex ->
-        match which with
-        | "table1" ->
-            Core.Report.table1 ppf (Core.Tasks.table1 ~scale ~backend ?sim_jobs ~ex ())
-        | "table2" -> Core.Report.table2 ppf (Core.Tasks.table2 ~scale ~ex ())
-        | "table3" ->
-            Core.Report.table3 ppf (Core.Tasks.table3 ~scale ~backend ?sim_jobs ~ex ())
-        | "figure3" ->
-            Core.Report.figure3 ppf (Core.Tasks.figure3 ~scale ~backend ?sim_jobs ~ex ())
-        | "figure4" ->
-            Core.Report.figure4 ppf (Core.Tasks.figure4 ~scale ~backend ?sim_jobs ~ex ())
-        | "figure5" -> Core.Report.figure5 ppf (Core.Tasks.figure5_both ?sim_jobs ~ex ())
-        | "protocols" ->
-            Core.Report.protocols ppf
-              (Core.Tasks.protocol_comparison_all ~scale ?sim_jobs ~ex ())
-        | "faults" -> Core.Report.faults ppf (Core.Tasks.fault_sweep_all ~scale ~ex ())
-        | other -> Format.fprintf ppf "unknown experiment %S@." other)
+    (match which with
+    | (Figure5 | Protocols | Faults) when backend <> "lrc" ->
+        let name = fst (List.find (fun (_, e) -> e = which) experiments) in
+        Format.fprintf ppf "note: %s is DSM-specific; --backend %s ignored@." name backend
+    | _ -> ());
+    match which with
+    | Table1 ->
+        Core.Report.table1 ppf (Core.Experiments.table1 ~scale ~backend ?sim_jobs ~jobs ())
+    | Table2 -> Core.Report.table2 ppf (Core.Experiments.table2 ~scale ~jobs ())
+    | Table3 ->
+        Core.Report.table3 ppf (Core.Experiments.table3 ~scale ~backend ?sim_jobs ~jobs ())
+    | Figure3 ->
+        Core.Report.figure3 ppf (Core.Experiments.figure3 ~scale ~backend ?sim_jobs ~jobs ())
+    | Figure4 ->
+        Core.Report.figure4 ppf (Core.Experiments.figure4 ~scale ~backend ?sim_jobs ~jobs ())
+    | Figure5 -> Core.Report.figure5 ppf (Core.Experiments.figure5_both ?sim_jobs ~jobs ())
+    | Protocols ->
+        Core.Report.protocols ppf
+          (Core.Experiments.protocol_comparison_all ~scale ?sim_jobs ~jobs ())
+    | Faults -> Core.Report.faults ppf (Core.Experiments.fault_sweep_all ~scale ~jobs ())
   in
   let term =
-    Term.(const table $ which_arg $ scale_arg $ backend_arg $ sim_jobs_arg $ jobs_arg
-        $ workers_arg $ chaos_arg $ task_deadline_arg)
+    Term.(const table $ which_arg $ scale_arg $ backend_arg $ sim_jobs_arg $ jobs_arg)
   in
   Cmd.v (Cmd.info "table" ~doc:"Regenerate one of the paper's tables or figures.") term
 
@@ -645,15 +612,14 @@ let sweep_command =
     let doc = "Comma-separated processor counts." in
     Arg.(value & opt (list int) [ 2; 4; 8 ] & info [ "p"; "procs" ] ~docv:"N,N,..." ~doc)
   in
-  let sweep apps procs scale backend sim_jobs jobs workers chaos task_deadline =
+  let sweep apps procs scale backend sim_jobs jobs =
     let names = match apps with [] -> Apps.Registry.all_names | names -> names in
-    with_executor ~jobs ~workers ~chaos ~task_deadline (fun ex ->
-        Core.Report.figure4 ppf
-          (Core.Tasks.figure4 ~scale ~procs ~names ~backend ?sim_jobs ~ex ()))
+    Core.Report.figure4 ppf
+      (Core.Experiments.figure4 ~scale ~procs ~names ~backend ?sim_jobs ~jobs ())
   in
   let term =
     Term.(const sweep $ apps_arg $ procs_list_arg $ scale_arg $ backend_arg $ sim_jobs_arg
-        $ jobs_arg $ workers_arg $ chaos_arg $ task_deadline_arg)
+        $ jobs_arg)
   in
   Cmd.v
     (Cmd.info "sweep"
@@ -999,9 +965,6 @@ let fuzz_command =
     term
 
 let () =
-  (* Spawned as a remote-executor worker? Serve tasks and exit — before
-     any output or argument parsing. *)
-  Parallel.Remote.maybe_worker ~run:(Core.Tasks.runner ()) ();
   (* registry listing; handled before Cmdliner so it works from any
      subcommand position *)
   if Array.exists (String.equal "--list-backends") Sys.argv then begin

@@ -155,9 +155,8 @@ let figure4_row ?(scale = Apps.Registry.Paper) ?(procs = [ 2; 4; 8 ]) ?(backend 
   }
 
 (* Parallelism is per (app, nprocs) point, not per app: the slowest app
-   no longer serializes its whole curve. The point list, the per-point
-   measurement and the regrouping are exposed separately so executors
-   that ship points to worker processes can reuse them. *)
+   no longer serializes its whole curve. The rows are regrouped from the
+   per-point factors afterwards. *)
 let figure4_points ?(procs = [ 2; 4; 8 ]) ?(names = Apps.Registry.all_names) () =
   List.concat_map (fun name -> List.map (fun nprocs -> (name, nprocs)) procs) names
 
@@ -448,11 +447,10 @@ let site_retention_ablation_all ?scale ?nprocs ?sim_jobs ?jobs names =
 (* ------------------------------------------------------------------ *)
 (* The benchmark harness's machine-readable sweep point: one simulated
    run per (app, nprocs, detect, elide) tuple, timed and bracketed by
-   [Gc.quick_stat] so allocation pressure is part of the record. Lives
-   here (rather than in bench/) so a worker process can run the whole
-   measurement — GC brackets included — on its own heap and ship the
-   record back. [clock] defaults to wall time; the bench harness passes
-   its monotonic clock for in-process runs. *)
+   [Gc.quick_stat] so allocation pressure is part of the record. Self-
+   contained and silent, so a pool domain can run the whole measurement,
+   GC brackets included. [clock] defaults to wall time; the bench
+   harness passes its monotonic clock. *)
 
 type sweep_point = {
   sp_app : string;  (* lowercase *)

@@ -123,27 +123,6 @@ val figure4_row :
   string ->
   figure4_row
 
-val figure4_points :
-  ?procs:int list -> ?names:string list -> unit -> (string * int) list
-(** The (app, nprocs) measurement points of a {!figure4} call, in row
-    order — the executor-facing decomposition. *)
-
-val figure4_point :
-  ?scale:Apps.Registry.scale ->
-  ?backend:string ->
-  ?sim_jobs:int ->
-  nprocs:int ->
-  string ->
-  string * (int * float)
-(** One measurement: (display name, (nprocs, slowdown factor)). *)
-
-val figure4_rows :
-  names:string list ->
-  points:(string * int) list ->
-  (string * (int * float)) list ->
-  figure4_row list
-(** Regroup per-point factors (aligned with [points]) into per-app rows. *)
-
 val figure4 :
   ?scale:Apps.Registry.scale ->
   ?procs:int list ->
@@ -204,15 +183,6 @@ type protocol_row = {
 
 val compared_protocols : Lrc.Config.protocol list
 (** Single-writer, multi-writer, home-based. *)
-
-val protocol_row :
-  ?sim_jobs:int ->
-  scale:Apps.Registry.scale ->
-  nprocs:int ->
-  string ->
-  Lrc.Config.protocol ->
-  protocol_row
-(** One (app, protocol) baseline run. *)
 
 val protocol_comparison :
   ?scale:Apps.Registry.scale -> ?nprocs:int -> ?sim_jobs:int -> string -> protocol_row list
@@ -316,6 +286,5 @@ val sweep_point :
   sweep_point
 (** One benchmark sweep measurement: a full simulated run bracketed by
     [Gc.full_major] + [Gc.quick_stat], timed with [clock] (default wall
-    time; the bench harness passes its monotonic clock for in-process
-    runs). Self-contained, so executors may run it in a worker
-    process. *)
+    time; the bench harness passes its monotonic clock). Self-contained,
+    so a {!Parallel.Pool} may run it on any domain. *)

@@ -12,7 +12,7 @@ type t = {
   runtime : Node.runtime;
   races : Proto.Race.t list ref;
   trace : (int * Racedetect.Oracle.event) list ref;
-  recorder : Sync_trace.recorder option;
+  recorder : Coherence.Sync_trace.recorder option;
   symtab : Mem.Symtab.t;
   window_jobs : int option;  (* Some j: sharded engine, j executing domains *)
   mutable alloc_next : int;  (* pre-run shared allocation cursor *)
@@ -49,7 +49,9 @@ let create ?(cost = Sim.Cost.default) ?(cfg = Config.default) ~nprocs ~pages () 
   let races = ref [] in
   let trace = ref [] in
   let timed = ref [] in
-  let recorder = if cfg.Config.record_sync then Some (Sync_trace.new_recorder ()) else None in
+  let recorder =
+    if cfg.Config.record_sync then Some (Coherence.Sync_trace.new_recorder ()) else None
+  in
   let symtab = Mem.Symtab.create () in
   let transport = resolved_transport cfg in
   let window_jobs =
@@ -247,7 +249,9 @@ let trace t = List.rev !(t.trace)
 let timed_trace t = List.rev !(t.runtime.Node.timed)
 
 let sync_trace t =
-  match t.recorder with Some r -> Some (Sync_trace.of_recorder r) | None -> None
+  match t.recorder with
+  | Some r -> Some (Coherence.Sync_trace.of_recorder r)
+  | None -> None
 
 let race_sites t (race : Proto.Race.t) =
   (* With [retain_sites]: the source sites of both halves of a race. *)

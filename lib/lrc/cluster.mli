@@ -37,7 +37,7 @@ val trace : t -> Racedetect.Oracle.trace
 val timed_trace : t -> (int * int * Racedetect.Oracle.event) list
 (** The same events with simulated-time stamps, for {!Core.Timeline}. *)
 
-val sync_trace : t -> Sync_trace.t option
+val sync_trace : t -> Coherence.Sync_trace.t option
 (** The recorded lock-grant order, when [record_sync] was set. *)
 
 val race_sites : t -> Proto.Race.t -> string option * string option

@@ -81,7 +81,7 @@ type runtime = {
   races : Proto.Race.t list ref;
   trace : (int * Racedetect.Oracle.event) list ref;  (* reversed *)
   timed : (int * int * Racedetect.Oracle.event) list ref;  (* (ns, proc, ev) *)
-  recorder : Sync_trace.recorder option;
+  recorder : Coherence.Sync_trace.recorder option;
   symtab : Mem.Symtab.t;  (* names for shared allocations (section 6.1) *)
   (* Per-node views of [stats]/[trace]/[timed]. On the legacy engine every
      cell aliases the shared record/refs above — behaviour is unchanged.
@@ -966,7 +966,7 @@ let grant_lock t ~lock ~requester ~requester_vc =
          lock are separated by at least a message latency, so the
          (time, shard, emission) flush order cannot swap them. *)
       Sim.Engine.defer t.rt.engine (fun () ->
-          Sync_trace.record recorder ~lock ~grantee:requester)
+          Coherence.Sync_trace.record recorder ~lock ~grantee:requester)
   | None -> ());
   send t ~dst:requester
     (Message.Lock_grant { lock; granter_vc = Proto.Vclock.copy upto; intervals })
@@ -1076,7 +1076,7 @@ let rec drain_parked_requests t m ~lock =
   match t.rt.cfg.Config.replay with
   | None -> assert false
   | Some trace -> (
-      match Sync_trace.next_grantee trace ~lock with
+      match Coherence.Sync_trace.next_grantee trace ~lock with
       | None ->
           (* past the recorded history: fall back to FIFO *)
           if not (Queue.is_empty m.parked) then begin
@@ -1097,7 +1097,7 @@ let rec drain_parked_requests t m ~lock =
           | Some msg ->
               Queue.clear m.parked;
               Queue.transfer rest m.parked;
-              Sync_trace.advance trace ~lock;
+              Coherence.Sync_trace.advance trace ~lock;
               forward_lock_req t m msg;
               drain_parked_requests t m ~lock
           | None -> ()))

@@ -26,7 +26,7 @@ type runtime = {
   trace : (int * Racedetect.Oracle.event) list ref;  (** reversed event log *)
   timed : (int * int * Racedetect.Oracle.event) list ref;
       (** same events with simulated timestamps, for timeline rendering *)
-  recorder : Sync_trace.recorder option;
+  recorder : Coherence.Sync_trace.recorder option;
   symtab : Mem.Symtab.t;  (** names for shared allocations (section 6.1) *)
   node_stats : Sim.Stats.t array;
       (** per-node counters, indexed by processor id. Legacy engine: every

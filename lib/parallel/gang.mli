@@ -5,7 +5,7 @@
     Built for the sharded simulation engine, whose event windows are
     microseconds of work issued hundreds of thousands of times per run
     — per-round cost is two atomic stores and a generation-counter
-    bump, against {!Pool}'s per-task mutexes and clock reads. Use
+    bump, against {!Pool}'s per-task mutexes and condition variables. Use
     {!Pool} for coarse tasks (whole simulation runs); use this for the
     barriers inside one.
 

@@ -4,57 +4,28 @@
    awaits the cells in submission order — which is what makes parallel
    sweeps render identically to sequential ones.
 
-   The pool deliberately has no notion of priorities, cancellation or
-   nested submission: every intended task is one deterministic,
-   self-contained simulation run (seconds of work), so a plain FIFO and
-   submission-order harvesting are both sufficient and the easiest
-   thing to prove deterministic.
-
-   The one concession to robustness is an optional per-task wall-clock
-   deadline: OCaml cannot interrupt a running domain, so a hung task
-   cannot be cancelled, but the *awaiter* can stop waiting — the cell
-   fills with a structured [Deadline_exceeded] failure and [shutdown]
-   declines to join a worker still stuck past the deadline (the domain
-   leaks; the process no longer wedges). With [jobs = 1] tasks run
-   inline on the calling domain, so a deadline there is only checked
-   after the fact. *)
+   The pool deliberately has no notion of priorities, cancellation,
+   deadlines or nested submission: every intended task is one
+   deterministic, self-contained simulation run (seconds of work), so a
+   plain FIFO and submission-order harvesting are both sufficient and
+   the easiest thing to prove deterministic. *)
 
 type failure = { f_exn : exn; f_backtrace : string }
 
-exception Deadline_exceeded of { label : string; elapsed_s : float }
-
-exception Task_failed of string
-(* A task failed in another *process*, where the original exception
-   cannot travel: only its rendering comes back. Declared here so the
-   in-process and remote executors share one failure vocabulary. *)
-
-let () =
-  Printexc.register_printer (function
-    | Deadline_exceeded { label; elapsed_s } ->
-        Some (Printf.sprintf "Parallel.Pool.Deadline_exceeded(%s after %.1fs)" label elapsed_s)
-    | Task_failed msg -> Some (Printf.sprintf "Parallel.Pool.Task_failed(%s)" msg)
-    | _ -> None)
-
 type t = {
   pool_jobs : int;
-  deadline_s : float option;
   lock : Mutex.t;
   nonempty : Condition.t;  (* signalled on enqueue and on close *)
-  queue : (int -> unit) Queue.t;  (* pending task closures, applied to a worker index *)
-  busy : float option array;  (* per-worker start time of the task in hand *)
+  queue : (unit -> unit) Queue.t;  (* pending task closures *)
   mutable closed : bool;
   mutable workers : unit Domain.t array;
 }
 
-(* One result cell per task. The worker fills it under [c_lock] and
-   signals; the submitting domain awaits it — or, past the deadline,
-   fills it with a failure itself (first writer wins). *)
+(* One result cell per task: the worker fills it under [c_lock] and
+   signals; the submitting domain awaits it. *)
 type 'a cell = {
   c_lock : Mutex.t;
   c_done : Condition.t;
-  c_label : string;
-  c_deadline : float option;
-  mutable c_started : float option;
   mutable c_result : ('a, failure) result option;
 }
 
@@ -66,7 +37,7 @@ let guard f =
     (* capture in the raising domain: backtraces are per-domain state *)
     Error { f_exn = e; f_backtrace = Printexc.get_backtrace () }
 
-let rec worker pool wi =
+let rec worker pool =
   Mutex.lock pool.lock;
   while Queue.is_empty pool.queue && not pool.closed do
     Condition.wait pool.nonempty pool.lock
@@ -77,75 +48,38 @@ let rec worker pool wi =
       Mutex.unlock pool.lock
   | Some job ->
       Mutex.unlock pool.lock;
-      job wi;
-      worker pool wi
+      job ();
+      worker pool
 
-let create ?jobs ?deadline_s () =
+let create ?jobs () =
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
   if jobs < 1 then invalid_arg "Parallel.Pool.create: jobs must be >= 1";
-  (match deadline_s with
-  | Some d when d <= 0.0 -> invalid_arg "Parallel.Pool.create: deadline must be > 0"
-  | _ -> ());
   let pool =
     {
       pool_jobs = jobs;
-      deadline_s;
       lock = Mutex.create ();
       nonempty = Condition.create ();
       queue = Queue.create ();
-      busy = Array.make (if jobs > 1 then jobs else 0) None;
       closed = false;
       workers = [||];
     }
   in
-  if jobs > 1 then
-    pool.workers <- Array.init jobs (fun wi -> Domain.spawn (fun () -> worker pool wi));
+  if jobs > 1 then pool.workers <- Array.init jobs (fun _ -> Domain.spawn (fun () -> worker pool));
   pool
 
-let jobs pool = pool.pool_jobs
-
-let submit ?(label = "task") pool task =
-  let cell =
-    {
-      c_lock = Mutex.create ();
-      c_done = Condition.create ();
-      c_label = label;
-      c_deadline = pool.deadline_s;
-      c_started = None;
-      c_result = None;
-    }
-  in
-  (* First writer wins: a late worker result never clobbers a
-     deadline failure the awaiter already returned. *)
-  let fill r =
+let submit pool task =
+  let cell = { c_lock = Mutex.create (); c_done = Condition.create (); c_result = None } in
+  let job () =
+    let r = guard task in
     Mutex.lock cell.c_lock;
-    if cell.c_result = None then begin
-      cell.c_result <- Some r;
-      Condition.signal cell.c_done
-    end;
+    cell.c_result <- Some r;
+    Condition.signal cell.c_done;
     Mutex.unlock cell.c_lock
-  in
-  let job wi =
-    let start = Unix.gettimeofday () in
-    Mutex.lock cell.c_lock;
-    cell.c_started <- Some start;
-    Mutex.unlock cell.c_lock;
-    if wi >= 0 then begin
-      Mutex.lock pool.lock;
-      pool.busy.(wi) <- Some start;
-      Mutex.unlock pool.lock
-    end;
-    fill (guard task);
-    if wi >= 0 then begin
-      Mutex.lock pool.lock;
-      pool.busy.(wi) <- None;
-      Mutex.unlock pool.lock
-    end
   in
   if pool.pool_jobs = 1 then begin
     (* inline pool: run now, on this domain — sequential semantics *)
     if pool.closed then invalid_arg "Parallel.Pool: submit after shutdown";
-    job (-1)
+    job ()
   end
   else begin
     Mutex.lock pool.lock;
@@ -160,146 +94,35 @@ let submit ?(label = "task") pool task =
   cell
 
 let await cell =
-  match cell.c_deadline with
-  | None ->
-      Mutex.lock cell.c_lock;
-      while cell.c_result = None do
-        Condition.wait cell.c_done cell.c_lock
-      done;
-      let r = match cell.c_result with Some r -> r | None -> assert false in
-      Mutex.unlock cell.c_lock;
-      r
-  | Some deadline ->
-      (* OCaml's [Condition] has no timed wait, so past a deadline we
-         poll. The deadline anchors at task start when the task has
-         started, else at await entry — so tasks queued behind hung
-         workers eventually expire too instead of wedging the caller. *)
-      let entered = Unix.gettimeofday () in
-      let rec poll () =
-        Mutex.lock cell.c_lock;
-        match cell.c_result with
-        | Some r ->
-            Mutex.unlock cell.c_lock;
-            r
-        | None ->
-            let now = Unix.gettimeofday () in
-            let anchor = match cell.c_started with Some s -> s | None -> entered in
-            let elapsed = now -. anchor in
-            if elapsed > deadline then begin
-              let r =
-                Error
-                  {
-                    f_exn = Deadline_exceeded { label = cell.c_label; elapsed_s = elapsed };
-                    f_backtrace = "";
-                  }
-              in
-              cell.c_result <- Some r;
-              Mutex.unlock cell.c_lock;
-              r
-            end
-            else begin
-              Mutex.unlock cell.c_lock;
-              Unix.sleepf 0.02;
-              poll ()
-            end
-      in
-      poll ()
+  Mutex.lock cell.c_lock;
+  while cell.c_result = None do
+    Condition.wait cell.c_done cell.c_lock
+  done;
+  let r = match cell.c_result with Some r -> r | None -> assert false in
+  Mutex.unlock cell.c_lock;
+  r
 
 let shutdown pool =
   Mutex.lock pool.lock;
   pool.closed <- true;
   Condition.broadcast pool.nonempty;
   (* run anything still queued here rather than stranding its awaiters *)
-  let leftovers = ref [] in
-  Queue.iter (fun job -> leftovers := job :: !leftovers) pool.queue;
+  let leftovers = List.of_seq (Queue.to_seq pool.queue) in
   Queue.clear pool.queue;
   Mutex.unlock pool.lock;
-  List.iter (fun job -> job (-1)) (List.rev !leftovers);
-  Array.iteri
-    (fun wi d ->
-      (* joining a worker stuck past the task deadline would wedge the
-         whole process; leak that one domain instead *)
-      let stuck =
-        match pool.deadline_s with
-        | None -> false
-        | Some dl -> (
-            Mutex.lock pool.lock;
-            let b = pool.busy.(wi) in
-            Mutex.unlock pool.lock;
-            match b with
-            | Some start -> Unix.gettimeofday () -. start > dl
-            | None -> false)
-      in
-      if not stuck then Domain.join d)
-    pool.workers;
+  List.iter (fun job -> job ()) leftovers;
+  Array.iter Domain.join pool.workers;
   pool.workers <- [||]
 
-let with_pool ?jobs ?deadline_s f =
-  let pool = create ?jobs ?deadline_s () in
+let with_pool ?jobs f =
+  let pool = create ?jobs () in
   Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
 
-let run ?progress pool tasks =
-  let cells = List.map (fun task -> submit pool task) tasks in
-  List.mapi
-    (fun i cell ->
-      let r = await cell in
-      (match progress with Some f -> f i | None -> ());
-      r)
-    cells
-
-let map ?progress pool f xs = run ?progress pool (List.map (fun x () -> f x) xs)
+let run pool tasks = List.map await (List.map (submit pool) tasks)
 
 let map_exn pool f xs =
-  let results = map pool f xs in
   List.map
     (function
       | Ok v -> v
       | Error { f_exn; f_backtrace = _ } -> raise f_exn)
-    results
-
-(* ------------------------------------------------------------------ *)
-(* Executors: one submission surface over the in-process pool and the
-   remote process supervisor. A surface that can describe its work as
-   [Task.t] values runs them through whichever executor the user asked
-   for and gets encoded results back in submission order. *)
-
-type executor = {
-  ex_mode : string;  (* "inline" | "domains" | "remote" *)
-  ex_parallelism : int;
-  ex_run : Task.t list -> (string, failure) result list;
-  ex_stats : unit -> Executor_stats.t;
-}
-
-let task_executor ?deadline_s ~jobs ~run () =
-  let mode = if jobs <= 1 then "inline" else "domains" in
-  let stats = Executor_stats.create ~mode ~workers:0 in
-  let ex_run tasks =
-    with_pool ~jobs ?deadline_s (fun pool ->
-        let cells =
-          List.map
-            (fun task ->
-              stats.Executor_stats.tasks_dispatched <-
-                stats.Executor_stats.tasks_dispatched + 1;
-              submit pool ~label:(Task.label task) (fun () -> run task))
-            tasks
-        in
-        List.map
-          (fun cell ->
-            match await cell with
-            | Ok _ as r ->
-                stats.Executor_stats.tasks_completed <-
-                  stats.Executor_stats.tasks_completed + 1;
-                r
-            | Error _ as r ->
-                stats.Executor_stats.tasks_failed <- stats.Executor_stats.tasks_failed + 1;
-                r)
-          cells)
-  in
-  { ex_mode = mode; ex_parallelism = jobs; ex_run; ex_stats = (fun () -> stats) }
-
-let run_tasks_exn ex tasks =
-  List.map
-    (function
-      | Ok encoded -> encoded
-      | Error { f_exn; f_backtrace = _ } -> raise f_exn)
-    (ex.ex_run tasks)
+    (run pool (List.map (fun x () -> f x) xs))

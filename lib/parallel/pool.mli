@@ -7,24 +7,16 @@
     returns a value instead of printing. Under that contract the pool
     guarantees:
 
-    - {b submission-order results}: [map]/[run] return results in the
-      order tasks were submitted, regardless of completion order, so a
-      parallel sweep renders byte-identically to a sequential one;
+    - {b submission-order results}: [run]/[map_exn] return results in
+      the order tasks were submitted, regardless of completion order, so
+      a parallel sweep renders byte-identically to a sequential one;
     - {b crash isolation}: a raising task becomes an [Error] result
       carrying the exception and its backtrace — it never kills a
       worker or the pool, and the remaining tasks still run;
     - {b sequential fidelity}: a pool created with [jobs = 1] spawns no
       domains at all and runs each task inline on the calling domain at
       submission, making [~jobs:1] executions indistinguishable from
-      code that never heard of the pool;
-    - {b bounded waiting} (opt-in): with [?deadline_s], awaiting a task
-      that runs past the wall-clock deadline returns a structured
-      {!Deadline_exceeded} failure instead of blocking forever, and
-      {!shutdown} declines to join a worker still stuck past the
-      deadline (that one domain leaks; the process does not wedge).
-      Tasks themselves are never interrupted — OCaml cannot cancel a
-      domain — so with [jobs = 1] (inline execution) a deadline is only
-      observable after the task returns. *)
+      code that never heard of the pool. *)
 
 type t
 
@@ -32,21 +24,16 @@ val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()], floored at 1 — the default
     worker count everywhere a [--jobs] flag is offered. *)
 
-val create : ?jobs:int -> ?deadline_s:float -> unit -> t
+val create : ?jobs:int -> unit -> t
 (** Spawn a pool of [jobs] worker domains (default {!default_jobs}).
-    [jobs = 1] is the inline pool: no domains are spawned.
-    [deadline_s] bounds each task's wall-clock time as observed by
-    {!await}. Raises [Invalid_argument] if [jobs < 1] or
-    [deadline_s <= 0]. *)
-
-val jobs : t -> int
+    [jobs = 1] is the inline pool: no domains are spawned. Raises
+    [Invalid_argument] if [jobs < 1]. *)
 
 val shutdown : t -> unit
 (** Stop accepting tasks, run any still-queued tasks on the calling
-    domain, and join every worker — except workers stuck on a task past
-    the pool deadline, which are abandoned. Idempotent. *)
+    domain, and join every worker. Idempotent. *)
 
-val with_pool : ?jobs:int -> ?deadline_s:float -> (t -> 'a) -> 'a
+val with_pool : ?jobs:int -> (t -> 'a) -> 'a
 (** [create], apply, [shutdown] (also on exception). *)
 
 type failure = {
@@ -54,66 +41,12 @@ type failure = {
   f_backtrace : string;  (** its raw backtrace, captured in the worker *)
 }
 
-exception Deadline_exceeded of { label : string; elapsed_s : float }
-(** The failure a task that outlived the pool deadline resolves to.
-    The task itself may still be running — only the wait ends. *)
-
-exception Task_failed of string
-(** A task failed in another process, where the original exception
-    cannot travel: only its rendering comes back. Raised by remote
-    executors inside the {!failure} they report. *)
-
-type 'a cell
-(** A pending result, filled by a worker (or by {!await} itself on
-    deadline expiry — first writer wins). *)
-
-val submit : ?label:string -> t -> (unit -> 'a) -> 'a cell
-(** Enqueue one task ([jobs = 1]: run it now, inline). [label] names
-    the task in deadline failures. Raises [Invalid_argument] after
-    [shutdown]. *)
-
-val await : 'a cell -> ('a, failure) result
-(** Block until the cell fills. With a pool deadline this polls and,
-    past the deadline (anchored at task start, or at await entry if the
-    task is still queued), fills the cell with {!Deadline_exceeded}. *)
-
-val run :
-  ?progress:(int -> unit) -> t -> (unit -> 'a) list -> ('a, failure) result list
+val run : t -> (unit -> 'a) list -> ('a, failure) result list
 (** Submit every thunk, wait for them all, and return their results in
-    submission order. [progress i] is called on the {e calling} domain
-    once task [i] and every earlier task have finished — in index
-    order — so callers can stream deterministic per-task output.
-    Raises [Invalid_argument] after [shutdown]. *)
-
-val map : ?progress:(int -> unit) -> t -> ('a -> 'b) -> 'a list -> ('b, failure) result list
+    submission order. Raises [Invalid_argument] after [shutdown]. *)
 
 val map_exn : t -> ('a -> 'b) -> 'a list -> 'b list
-(** Like {!map} but re-raises the first (in submission order) failing
-    task's exception, after all tasks have finished — matching what a
-    plain [List.map] would have raised sequentially. *)
-
-(** {1 Executors}
-
-    One submission surface over the in-process pool and the remote
-    process supervisor ({!Remote}). A surface that can describe its
-    work as {!Task.t} values runs them through whichever executor the
-    user asked for and decodes the encoded results, which arrive in
-    submission order under every executor. *)
-
-type executor = {
-  ex_mode : string;  (** ["inline"], ["domains"] or ["remote"] *)
-  ex_parallelism : int;
-  ex_run : Task.t list -> (string, failure) result list;
-      (** run tasks, results in submission order; [Ok] carries the
-          interpreter's encoded result bytes *)
-  ex_stats : unit -> Executor_stats.t;
-}
-
-val task_executor :
-  ?deadline_s:float -> jobs:int -> run:(Task.t -> string) -> unit -> executor
-(** In-process executor: each [ex_run] call wraps {!with_pool} around
-    the task interpreter [run]. Mode is ["inline"] for [jobs <= 1],
-    ["domains"] otherwise. *)
-
-val run_tasks_exn : executor -> Task.t list -> string list
-(** [ex_run] but re-raising the first failing task's exception. *)
+(** [run] over [f x] for each [x], but re-raising the first (in
+    submission order) failing task's exception, after all tasks have
+    finished — matching what a plain [List.map] would have raised
+    sequentially. *)

@@ -5,40 +5,23 @@
    protocol core, so the suite proves the optimized hot paths behaviorally
    identical to the implementation they replaced.
 
-     dune exec test/gen_equiv_golden.exe -- [--jobs N] [--workers N] [--chaos SPEC] [OUT.json]
+     dune exec test/gen_equiv_golden.exe -- [--jobs N] [OUT.json]
 
    Combos are independent simulation runs, so they fan out over a
-   Parallel.Pool ([--jobs]) or over worker processes ([--workers], with
-   [--chaos] injecting seeded failures — the make-check smoke kills
-   workers mid-run and cmps the output against the checked-in golden);
-   results are harvested and written in combo order, so the file is
-   identical whichever executor ran it.
+   Parallel.Pool ([--jobs]); results are harvested and written in combo
+   order, so the file is identical whatever the job count (make check
+   regenerates it at --jobs 4 and cmps it against the checked-in
+   golden).
 
    Regenerate only when a combo definition or an intended behavior change
    makes the old goldens stale — never to paper over a mismatch. *)
 
-(* combo results cross the worker pipe as Marshal bytes; same-binary
-   spawning makes that safe, exactly as in Parallel.Task's own codec *)
-let serve_combo = function
-  | Parallel.Task.Equiv_combo { label } ->
-      let combo =
-        match Equiv_combos.find label with
-        | Some c -> c
-        | None -> failwith (Printf.sprintf "unknown equiv combo %S" label)
-      in
-      Some (Marshal.to_string (Equiv_combos.run combo) [])
-  | _ -> None
-
 let () =
-  Parallel.Remote.maybe_worker ~run:(Core.Tasks.runner ~extra:serve_combo ()) ();
   let usage () =
-    prerr_endline
-      "usage: gen_equiv_golden.exe [--jobs N] [--workers N] [--chaos SPEC] [OUT.json]";
+    prerr_endline "usage: gen_equiv_golden.exe [--jobs N] [OUT.json]";
     exit 2
   in
   let jobs = ref (Parallel.Pool.default_jobs ()) in
-  let workers = ref 0 in
-  let chaos_spec = ref "" in
   let rec parse out = function
     | "--jobs" :: n :: rest ->
         (match int_of_string_opt n with
@@ -46,16 +29,6 @@ let () =
         | _ -> usage ());
         parse out rest
     | "--jobs" :: [] -> usage ()
-    | "--workers" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some n when n >= 1 -> workers := n
-        | _ -> usage ());
-        parse out rest
-    | "--workers" :: [] -> usage ()
-    | "--chaos" :: spec :: rest ->
-        chaos_spec := spec;
-        parse out rest
-    | "--chaos" :: [] -> usage ()
     | path :: rest -> (
         match out with None -> parse (Some path) rest | Some _ -> usage ())
     | [] -> out
@@ -66,38 +39,10 @@ let () =
     | Some path -> path
   in
   let combos = Equiv_combos.all in
+  Printf.printf "running %d combos on %d domain(s)...\n%!" (List.length combos) !jobs;
   let results =
-    if !workers > 0 then begin
-      Printf.printf "running %d combos on %d worker process(es)...\n%!" (List.length combos)
-        !workers;
-      let chaos =
-        match Parallel.Chaos.parse !chaos_spec with
-        | Ok plan -> plan
-        | Error msg ->
-            prerr_endline msg;
-            exit 2
-      in
-      let config = { (Parallel.Remote.default_config ~workers:!workers) with chaos } in
-      Parallel.Remote.with_executor ~config ~run:(Core.Tasks.runner ~extra:serve_combo ())
-        (fun ex ->
-          let tasks =
-            List.map
-              (fun (c : Equiv_combos.combo) ->
-                Parallel.Task.Equiv_combo { label = c.Equiv_combos.label })
-              combos
-          in
-          let rows =
-            Parallel.Pool.run_tasks_exn ex tasks
-            |> List.map (fun bytes -> (Marshal.from_string bytes 0 : Equiv_combos.result))
-          in
-          Format.eprintf "%a@." Parallel.Executor_stats.pp (ex.Parallel.Pool.ex_stats ());
-          rows)
-    end
-    else begin
-      Printf.printf "running %d combos on %d domain(s)...\n%!" (List.length combos) !jobs;
-      Parallel.Pool.with_pool ~jobs:!jobs (fun pool ->
-          Parallel.Pool.map_exn pool Equiv_combos.run combos)
-    end
+    Parallel.Pool.with_pool ~jobs:!jobs (fun pool ->
+        Parallel.Pool.map_exn pool Equiv_combos.run combos)
   in
   let entries =
     List.map2

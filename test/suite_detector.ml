@@ -199,6 +199,92 @@ let test_oracle_kinds () =
   (* one ww pair and one wr pair, both on the same word *)
   check Alcotest.int "two kinds of pair" 2 (List.length races)
 
+(* Both the LRC barrier master and the bus backends run only the fused
+   steps-2+3 scan; it must stay indistinguishable from the unfused
+   [concurrent_pairs |> check_list] composition it replaced: same
+   entries in the same order, same concurrent-pair count, same probe
+   sequence and the same statistics. Vector clocks are drawn at random
+   (not necessarily causally consistent) so every branch of the
+   concurrency test is exercised. *)
+
+type interval_spec = {
+  s_proc : int;
+  s_index : int;
+  s_seen : int list;  (* vc entry per processor; own entry is [s_index] *)
+  s_reads : int list;
+  s_writes : int list;
+}
+
+let gen_epoch =
+  let open QCheck.Gen in
+  int_range 2 4 >>= fun nprocs ->
+  let spec proc index =
+    list_repeat nprocs (int_bound 4) >>= fun s_seen ->
+    list_size (int_bound 3) (int_bound 5) >>= fun s_reads ->
+    list_size (int_bound 3) (int_bound 5) >>= fun s_writes ->
+    return { s_proc = proc; s_index = index; s_seen; s_reads; s_writes }
+  in
+  list_repeat nprocs (int_bound 4) >>= fun counts ->
+  flatten_l
+    (List.concat
+       (List.mapi (fun proc k -> List.init k (fun i -> spec proc (i + 1))) counts))
+  >>= shuffle_l
+  >>= fun specs -> return (nprocs, specs)
+
+let print_epoch (nprocs, specs) =
+  let ints l = String.concat "," (List.map string_of_int l) in
+  Printf.sprintf "nprocs=%d %s" nprocs
+    (String.concat " "
+       (List.map
+          (fun s ->
+            Printf.sprintf "p%d.%d[vc %s r %s w %s]" s.s_proc s.s_index (ints s.s_seen)
+              (ints s.s_reads) (ints s.s_writes))
+          specs))
+
+let intervals_of_epoch (nprocs, specs) =
+  List.map
+    (fun s ->
+      let vc = Proto.Vclock.create nprocs in
+      List.iteri (fun q i -> Proto.Vclock.set vc q i) s.s_seen;
+      Proto.Vclock.set vc s.s_proc s.s_index;
+      let iv = Proto.Interval.create ~proc:s.s_proc ~index:s.s_index ~vc ~epoch:0 in
+      List.iter (Proto.Interval.add_read_page iv) s.s_reads;
+      List.iter (Proto.Interval.add_write_page iv) s.s_writes;
+      iv.Proto.Interval.closed <- true;
+      iv)
+    specs
+
+let detector_counters (s : Sim.Stats.t) =
+  [
+    s.Sim.Stats.interval_comparisons;
+    s.Sim.Stats.concurrent_pairs;
+    s.Sim.Stats.overlapping_pairs;
+    s.Sim.Stats.intervals_in_overlap;
+  ]
+
+let prop_fused_check_list =
+  QCheck.Test.make ~name:"fused check list = concurrent_pairs |> check_list" ~count:300
+    (QCheck.make ~print:print_epoch gen_epoch)
+    (fun epoch ->
+      let intervals = intervals_of_epoch epoch in
+      let unfused_stats = Sim.Stats.create () and fused_stats = Sim.Stats.create () in
+      let unfused_seen = ref [] and fused_seen = ref [] in
+      let pairs = Racedetect.Detector.concurrent_pairs ~stats:unfused_stats intervals in
+      let unfused =
+        Racedetect.Detector.check_list ~stats:unfused_stats
+          ~probe:(fun e -> unfused_seen := e :: !unfused_seen)
+          pairs
+      in
+      let count, fused =
+        Racedetect.Detector.concurrent_check_list ~stats:fused_stats
+          ~probe:(fun e -> fused_seen := e :: !fused_seen)
+          intervals
+      in
+      fused = unfused
+      && count = List.length pairs
+      && !fused_seen = !unfused_seen
+      && detector_counters fused_stats = detector_counters unfused_stats)
+
 let suite =
   [
     ( "detector",
@@ -207,6 +293,7 @@ let suite =
         Alcotest.test_case "lock chain ordered" `Quick test_concurrent_pairs_chain_ordered;
         Alcotest.test_case "same-proc skipped" `Quick test_concurrent_pairs_skips_same_proc;
         Alcotest.test_case "check list needs overlap" `Quick test_check_list_requires_overlap;
+        QCheck_alcotest.to_alcotest prop_fused_check_list;
         Alcotest.test_case "word granularity" `Quick test_races_word_granularity;
         Alcotest.test_case "rw both directions" `Quick test_races_read_write_both_directions;
         Alcotest.test_case "false sharing ignored" `Quick test_false_sharing_no_race;

@@ -194,25 +194,25 @@ let test_detect_changes_traffic_only_in_detect_runs () =
 (* Sync_trace unit behaviour                                           *)
 
 let test_sync_trace_cursor () =
-  let recorder = Lrc.Sync_trace.new_recorder () in
-  Lrc.Sync_trace.record recorder ~lock:1 ~grantee:2;
-  Lrc.Sync_trace.record recorder ~lock:1 ~grantee:0;
-  Lrc.Sync_trace.record recorder ~lock:9 ~grantee:1;
-  let trace = Lrc.Sync_trace.of_recorder recorder in
-  check Alcotest.int "total grants" 3 (Lrc.Sync_trace.total_grants trace);
+  let recorder = Coherence.Sync_trace.new_recorder () in
+  Coherence.Sync_trace.record recorder ~lock:1 ~grantee:2;
+  Coherence.Sync_trace.record recorder ~lock:1 ~grantee:0;
+  Coherence.Sync_trace.record recorder ~lock:9 ~grantee:1;
+  let trace = Coherence.Sync_trace.of_recorder recorder in
+  check Alcotest.int "total grants" 3 (Coherence.Sync_trace.total_grants trace);
   check (Alcotest.option Alcotest.int) "lock 1 first" (Some 2)
-    (Lrc.Sync_trace.next_grantee trace ~lock:1);
-  Lrc.Sync_trace.advance trace ~lock:1;
+    (Coherence.Sync_trace.next_grantee trace ~lock:1);
+  Coherence.Sync_trace.advance trace ~lock:1;
   check (Alcotest.option Alcotest.int) "lock 1 second" (Some 0)
-    (Lrc.Sync_trace.next_grantee trace ~lock:1);
-  Lrc.Sync_trace.advance trace ~lock:1;
+    (Coherence.Sync_trace.next_grantee trace ~lock:1);
+  Coherence.Sync_trace.advance trace ~lock:1;
   check (Alcotest.option Alcotest.int) "lock 1 exhausted" None
-    (Lrc.Sync_trace.next_grantee trace ~lock:1);
+    (Coherence.Sync_trace.next_grantee trace ~lock:1);
   check (Alcotest.option Alcotest.int) "other locks independent" (Some 1)
-    (Lrc.Sync_trace.next_grantee trace ~lock:9);
-  Lrc.Sync_trace.reset trace;
+    (Coherence.Sync_trace.next_grantee trace ~lock:9);
+  Coherence.Sync_trace.reset trace;
   check (Alcotest.option Alcotest.int) "reset rewinds" (Some 2)
-    (Lrc.Sync_trace.next_grantee trace ~lock:1)
+    (Coherence.Sync_trace.next_grantee trace ~lock:1)
 
 (* ------------------------------------------------------------------ *)
 (* Experiments helpers (small scale)                                   *)

@@ -71,43 +71,6 @@ let test_submit_after_shutdown () =
   (* shutdown is idempotent *)
   Parallel.Pool.shutdown pool
 
-let test_progress_in_order () =
-  let seen = ref [] in
-  let results =
-    Parallel.Pool.with_pool ~jobs:4 (fun pool ->
-        Parallel.Pool.map
-          ~progress:(fun i -> seen := i :: !seen)
-          pool
-          (fun x -> ignore (spin x); x)
-          [ 5; 3; 8; 1 ])
-  in
-  check (Alcotest.list Alcotest.int) "progress fires in submission order" [ 0; 1; 2; 3 ]
-    (List.rev !seen);
-  check Alcotest.int "all results harvested" 4 (List.length results)
-
-let test_deadline () =
-  (* a sleeping task past the pool deadline resolves to a structured
-     [Error] instead of wedging the harvest; other tasks are untouched.
-     The sleeper is short enough (1.5 s) that its domain finishes on its
-     own before the process exits. *)
-  Parallel.Pool.with_pool ~jobs:2 ~deadline_s:0.2 (fun pool ->
-      let a = Parallel.Pool.submit ~label:"quick" pool (fun () -> 1) in
-      let b = Parallel.Pool.submit ~label:"sleeper" pool (fun () -> Unix.sleepf 1.5; 2) in
-      let c = Parallel.Pool.submit ~label:"quick2" pool (fun () -> 3) in
-      check Alcotest.int "task before the sleeper unaffected" 1
-        (match Parallel.Pool.await a with Ok v -> v | Error _ -> -1);
-      (match Parallel.Pool.await b with
-      | Error { Parallel.Pool.f_exn = Parallel.Pool.Deadline_exceeded { label; elapsed_s }; _ }
-        ->
-          check Alcotest.string "failure names the task" "sleeper" label;
-          check Alcotest.bool "elapsed at least the deadline" true (elapsed_s >= 0.2)
-      | Ok _ -> Alcotest.fail "sleeper should miss its deadline"
-      | Error _ -> Alcotest.fail "expected Deadline_exceeded");
-      check Alcotest.int "task after the sleeper unaffected" 3
-        (match Parallel.Pool.await c with Ok v -> v | Error _ -> -1));
-  (* give the sleeper's domain time to drain before later suites *)
-  Unix.sleepf 1.5
-
 (* The claim the whole bench/experiment wiring rests on: a sweep's rows
    are identical whatever the job count. *)
 
@@ -132,8 +95,6 @@ let suite =
           Alcotest.test_case "raising task is isolated" `Quick test_failure_isolation;
           Alcotest.test_case "map_exn re-raises" `Quick test_map_exn_reraises;
           Alcotest.test_case "submit after shutdown" `Quick test_submit_after_shutdown;
-          Alcotest.test_case "progress in submission order" `Quick test_progress_in_order;
-          Alcotest.test_case "deadline turns a wedged task into Error" `Quick test_deadline;
           Alcotest.test_case "fault sweep equal across jobs" `Quick
             test_experiments_jobs_equal;
           Alcotest.test_case "figure 5 equal across jobs" `Quick test_figure5_jobs_equal;

@@ -1,16 +1,10 @@
-(* Aggregates every test suite; run with `dune runtest`.
-
-   The remote-executor suite spawns THIS binary as its worker
-   processes, so the maybe_worker hook must run before Alcotest does —
-   a child with CVM_REMOTE_WORKER set serves task frames and exits
-   instead of recursively running the tests. *)
+(* Aggregates every test suite; run with `dune runtest`. *)
 
 let () =
-  Parallel.Remote.maybe_worker ~run:(Core.Tasks.runner ()) ();
   Alcotest.run "cvm-race"
     (Suite_sim.suite @ Suite_mem.suite @ Suite_proto.suite @ Suite_detector.suite
    @ Suite_lrc.suite @ Suite_detection.suite @ Suite_apps.suite @ Suite_instrument.suite
    @ Suite_dataflow.suite @ Suite_numerics.suite @ Suite_extra.suite @ Suite_litmus.suite
    @ Suite_extensions.suite @ Suite_faults.suite @ Suite_trace.suite
-   @ Suite_parallel.suite @ Suite_remote.suite @ Suite_bench_compare.suite
+   @ Suite_parallel.suite @ Suite_bench_compare.suite
    @ Suite_perf_equiv.suite @ Suite_mhp.suite @ Suite_cc.suite @ Suite_workload.suite)
