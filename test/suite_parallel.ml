@@ -71,6 +71,32 @@ let test_submit_after_shutdown () =
   (* shutdown is idempotent *)
   Parallel.Pool.shutdown pool
 
+(* Sequential fidelity: the jobs=1 pool spawns nothing and runs each
+   task on the calling domain, in submission order. *)
+let test_inline_pool () =
+  let caller = Domain.self () in
+  let order = ref [] in
+  let doms =
+    Parallel.Pool.with_pool ~jobs:1 (fun pool ->
+        Parallel.Pool.map_exn pool
+          (fun x ->
+            order := x :: !order;
+            Domain.self ())
+          [ 1; 2; 3 ])
+  in
+  check Alcotest.bool "every task ran on the calling domain" true
+    (List.for_all (fun d -> d = caller) doms);
+  check (Alcotest.list Alcotest.int) "tasks ran in submission order" [ 1; 2; 3 ]
+    (List.rev !order)
+
+let test_create_rejects_zero_jobs () =
+  List.iter
+    (fun jobs ->
+      match Parallel.Pool.create ~jobs () with
+      | _ -> Alcotest.failf "create ~jobs:%d should raise" jobs
+      | exception Invalid_argument _ -> ())
+    [ 0; -1 ]
+
 (* The claim the whole bench/experiment wiring rests on: a sweep's rows
    are identical whatever the job count. *)
 
@@ -95,6 +121,8 @@ let suite =
           Alcotest.test_case "raising task is isolated" `Quick test_failure_isolation;
           Alcotest.test_case "map_exn re-raises" `Quick test_map_exn_reraises;
           Alcotest.test_case "submit after shutdown" `Quick test_submit_after_shutdown;
+          Alcotest.test_case "jobs=1 runs inline on the caller" `Quick test_inline_pool;
+          Alcotest.test_case "create rejects jobs < 1" `Quick test_create_rejects_zero_jobs;
           Alcotest.test_case "fault sweep equal across jobs" `Quick
             test_experiments_jobs_equal;
           Alcotest.test_case "figure 5 equal across jobs" `Quick test_figure5_jobs_equal;
