@@ -36,17 +36,13 @@ test:
 # wall-clock under parallelism includes domain contention — wall is
 # only comparable like-for-like. The work pool is gated separately: a
 # --jobs 4 sweep is diffed against a --jobs 1 sweep with --ignore-wall,
-# proving the fan-out changes nothing observable. Intra-run parallelism
-# is gated the same way: a --sim-jobs 2 sweep at p16 (Water and the
-# rest) diffed against the same sweep at --sim-jobs 1 with
-# --ignore-wall --ignore-sim-jobs — the sharded engine's contract is
-# that the domain count is unobservable in every deterministic field,
-# and sim_jobs must be erased from the match key for that comparison
-# to exist at all. The 62-combo equivalence matrix is regenerated at
-# --jobs 4 and must be byte-identical to the checked-in golden, proving
-# the pool fan-out reproduces it exactly. Finally, an unknown
-# experiment name must make `cvm_race table` fail with a usage error
-# (Cmdliner's exit 124), not print a message and exit 0.
+# proving the fan-out changes nothing observable. The 62-combo
+# equivalence matrix is regenerated at --jobs 4 and must be
+# byte-identical to the checked-in golden, proving the pool fan-out
+# reproduces it exactly. Finally, bad command lines must fail with a
+# usage error (Cmdliner's exit 124), not print a message and exit 0 or
+# crash with exit 125: an unknown experiment name for `cvm_race table`
+# and a non-positive processor count for `cvm_race run`.
 check:
 	dune build
 	dune runtest
@@ -72,12 +68,10 @@ check:
 	dune exec bench/main.exe -- --small --jobs 1 --procs 4 sweep --json _build/bench_j1.json
 	dune exec bench/main.exe -- --small --jobs 4 --procs 4 sweep --json _build/bench_j4.json
 	dune exec bench/compare.exe -- _build/bench_j1.json _build/bench_j4.json --ignore-wall
-	dune exec bench/main.exe -- --small --jobs 1 --procs 16 --sim-jobs 1 sweep --json _build/bench_sj1.json
-	dune exec bench/main.exe -- --small --jobs 1 --procs 16 --sim-jobs 2 sweep --json _build/bench_sj2.json
-	dune exec bench/compare.exe -- _build/bench_sj1.json _build/bench_sj2.json --ignore-wall --ignore-sim-jobs
 	dune exec test/gen_equiv_golden.exe -- --jobs 4 _build/perf_equiv_j4.json
 	cmp test/golden/perf_equiv.json _build/perf_equiv_j4.json
 	dune exec bin/cvm_race.exe -- table bogus; test $$? -eq 124
+	dune exec bin/cvm_race.exe -- run sor --scale small -p 0; test $$? -eq 124
 
 # The full drop-rate sweep over every application (slow; paper scale).
 faults:

@@ -2,16 +2,10 @@
    the unit suite can drive it on synthetic runs.
 
    Sweep entries are matched on (app, scale, nprocs, detect, elide,
-   protocol, backend, sim_jobs) — [elide] defaults to false, [backend]
-   to "lrc" and [sim_jobs] to 0 (the sequential engine) when the field
-   is absent or null, so baselines recorded before instrumentation
-   elision, the cache-coherent backends or intra-run parallelism
-   existed still match. A --sim-jobs run only ever gates against a
-   baseline recorded with the same --sim-jobs: the sharded engine's
-   outcomes are identical for every domain count, but its event
-   windowing differs from the legacy loop's simulated time, so
-   like-for-like is the only fair comparison. For every pair the gate
-   checks that
+   protocol, backend) — [elide] defaults to false and [backend] to "lrc"
+   when the field is absent or null, so baselines recorded before
+   instrumentation elision or the cache-coherent backends existed still
+   match. For every pair the gate checks that
 
      - wall-clock has not regressed by more than the threshold (default
        15%) — small absolute drifts under the noise floor (50 ms) never
@@ -67,9 +61,8 @@ let extra_fields =
   ]
 
 type entry = {
-  key : string * string * int * bool * bool * string * string * int;
-      (* app, scale, nprocs, detect, elide, protocol, backend, sim_jobs
-         (0 = sequential engine) *)
+  key : string * string * int * bool * bool * string * string;
+      (* app, scale, nprocs, detect, elide, protocol, backend *)
   wall_s : float;
   sim_time_ns : int;
   races : int;
@@ -88,8 +81,7 @@ let entry_of_json v =
         to_bool_exn (member "detect" v),
         (match member "elide" v with Bool b -> b | _ -> false),
         to_string_exn (member "protocol" v),
-        (match member "backend" v with String s -> s | _ -> "lrc"),
-        (match member "sim_jobs" v with Int n -> n | _ -> 0) );
+        (match member "backend" v with String s -> s | _ -> "lrc") );
     wall_s = to_float_exn (member "wall_s" v);
     sim_time_ns = to_int_exn (member "sim_time_ns" v);
     races = to_int_exn (member "races" v);
@@ -114,33 +106,18 @@ let load path =
   | Bench_json.Parse_error msg -> failwith (Printf.sprintf "%s: %s" path msg)
   | Sys_error msg -> failwith msg
 
-let key_string (app, scale, nprocs, detect, elide, protocol, backend, sim_jobs) =
-  Printf.sprintf "%s/%s p=%d %s%s %s%s%s" app scale nprocs
+let key_string (app, scale, nprocs, detect, elide, protocol, backend) =
+  Printf.sprintf "%s/%s p=%d %s%s %s%s" app scale nprocs
     (if detect then "detect" else "no-detect")
     (if elide then "+elide" else "")
     protocol
     (if backend = "lrc" then "" else " " ^ backend)
-    (if sim_jobs = 0 then "" else Printf.sprintf " sim-jobs=%d" sim_jobs)
 
 type report = { lines : string list; compared : int; failures : int }
 
 let passed r = r.compared > 0 && r.failures = 0
 
-let compare_runs ?(threshold_pct = 15.0) ?(ignore_wall = false) ?(ignore_sim_jobs = false)
-    ~baseline ~current () =
-  (* [ignore_sim_jobs] erases the sim_jobs key component on both sides,
-     for the CI smoke that asserts the --sim-jobs contract itself: a
-     sharded run at N domains vs the same run at 1 domain must agree on
-     every deterministic field. Only meaningful together with runs that
-     hold one sim_jobs value each — erasing the component from a mixed
-     run would collide its own keys. *)
-  let normalize e =
-    if ignore_sim_jobs then
-      let app, scale, nprocs, detect, elide, protocol, backend, _ = e.key in
-      { e with key = (app, scale, nprocs, detect, elide, protocol, backend, 0) }
-    else e
-  in
-  let baseline = List.map normalize baseline and current = List.map normalize current in
+let compare_runs ?(threshold_pct = 15.0) ?(ignore_wall = false) ~baseline ~current () =
   let lines = ref [] and failures = ref 0 and compared = ref 0 in
   let emit fmt = Printf.ksprintf (fun s -> lines := s :: !lines) fmt in
   let fail fmt =

@@ -12,12 +12,10 @@ val extra_fields : string list
     they have. *)
 
 type entry = {
-  key : string * string * int * bool * bool * string * string * int;
-      (** app, scale, nprocs, detect, elide, protocol, backend, sim_jobs
-          — the match key; [elide] reads as false, [backend] as "lrc"
-          and [sim_jobs] as 0 (the sequential engine) when absent or
-          null, so older baselines still match, and a --sim-jobs run
-          only gates against a baseline recorded with the same value *)
+  key : string * string * int * bool * bool * string * string;
+      (** app, scale, nprocs, detect, elide, protocol, backend — the
+          match key; [elide] reads as false and [backend] as "lrc" when
+          absent or null, so older baselines still match *)
   wall_s : float;
   sim_time_ns : int;
   races : int;
@@ -38,8 +36,7 @@ val load : string -> entry list
     malformed JSON, wrong schema — raises [Failure] with the path
     prefixed, so callers need exactly one handler. *)
 
-val key_string :
-  string * string * int * bool * bool * string * string * int -> string
+val key_string : string * string * int * bool * bool * string * string -> string
 
 type report = {
   lines : string list;  (** human-readable, one per comparison or note *)
@@ -53,7 +50,6 @@ val passed : report -> bool
 val compare_runs :
   ?threshold_pct:float ->
   ?ignore_wall:bool ->
-  ?ignore_sim_jobs:bool ->
   baseline:entry list ->
   current:entry list ->
   unit ->
@@ -62,10 +58,6 @@ val compare_runs :
     [threshold_pct] (default 15%) before failing, and never fails under
     {!noise_floor_s}; [ignore_wall] (default false) skips the wall check
     for same-build comparisons such as [--jobs 1] vs [--jobs N].
-    [ignore_sim_jobs] (default false) erases the sim_jobs key component
-    on both sides, for the CI smoke that asserts the [--sim-jobs]
-    contract: a sharded run at N domains gated against the same run at
-    one domain — use it only with runs holding one sim_jobs value each.
     Deterministic fields (races, checksum, simulated time, wire bytes,
     and every {!extra_fields} counter present in both entries) must
     match exactly, and {e every} drifted field gets its own FAIL line —

@@ -135,12 +135,6 @@ let backend = ref "lrc"
    only ever read it. *)
 let jobs = ref (Parallel.Pool.default_jobs ())
 
-(* Intra-run parallelism (--sim-jobs): window-sharded engine domains
-   inside each eligible simulation. Composes with --jobs — the total
-   domain demand is the product — and is recorded per sweep entry so
-   compare.exe only gates like against like. *)
-let sim_jobs : int option ref = ref None
-
 let scale_name () =
   match !scale with
   | Apps.Registry.Paper -> "paper"
@@ -151,8 +145,7 @@ let run_table1 () =
   section "Table 1";
   wall (fun () ->
       Core.Report.table1 ppf
-        (Core.Experiments.table1 ?sim_jobs:!sim_jobs ~scale:!scale ~backend:!backend
-           ~jobs:!jobs ()))
+        (Core.Experiments.table1 ~scale:!scale ~backend:!backend ~jobs:!jobs ()))
 
 let run_table2 () =
   section "Table 2";
@@ -162,15 +155,13 @@ let run_table3 () =
   section "Table 3";
   wall (fun () ->
       Core.Report.table3 ppf
-        (Core.Experiments.table3 ?sim_jobs:!sim_jobs ~scale:!scale ~backend:!backend
-           ~jobs:!jobs ()))
+        (Core.Experiments.table3 ~scale:!scale ~backend:!backend ~jobs:!jobs ()))
 
 let run_figure3 () =
   section "Figure 3";
   wall (fun () ->
       Core.Report.figure3 ppf
-        (Core.Experiments.figure3 ?sim_jobs:!sim_jobs ~scale:!scale ~backend:!backend
-           ~jobs:!jobs ()))
+        (Core.Experiments.figure3 ~scale:!scale ~backend:!backend ~jobs:!jobs ()))
 
 let run_figure4 () =
   section "Figure 4";
@@ -181,41 +172,37 @@ let run_figure4 () =
          noisiest of the four. *)
       let names = [ "fft"; "sor"; "water" ] in
       let rows =
-        Core.Experiments.figure4 ?sim_jobs:!sim_jobs ~scale:!scale ~names ~backend:!backend
-          ~jobs:!jobs ()
+        Core.Experiments.figure4 ~scale:!scale ~names ~backend:!backend ~jobs:!jobs ()
       in
       let tsp =
-        Core.Experiments.figure4 ?sim_jobs:!sim_jobs ~scale:!scale ~procs:[ 4; 8 ]
-          ~names:[ "tsp" ] ~backend:!backend ~jobs:!jobs ()
+        Core.Experiments.figure4 ~scale:!scale ~procs:[ 4; 8 ] ~names:[ "tsp" ]
+          ~backend:!backend ~jobs:!jobs ()
       in
       Core.Report.figure4 ppf (rows @ tsp))
 
 let run_figure5 () =
   section "Figure 5";
-  wall (fun () ->
-      Core.Report.figure5 ppf
-        (Core.Experiments.figure5_both ?sim_jobs:!sim_jobs ~jobs:!jobs ()))
+  wall (fun () -> Core.Report.figure5 ppf (Core.Experiments.figure5_both ~jobs:!jobs ()))
 
 let run_ablation () =
   section "Ablation: stores from diffs (section 6.5)";
   wall (fun () ->
       Core.Report.ablation ppf
-        (Core.Experiments.stores_from_diffs_ablation_all ?sim_jobs:!sim_jobs ~scale:!scale
-           ~jobs:!jobs [ "sor"; "water" ]))
+        (Core.Experiments.stores_from_diffs_ablation_all ~scale:!scale ~jobs:!jobs
+           [ "sor"; "water" ]))
 
 let run_retention () =
   section "Ablation: single-run site retention (section 6.1)";
   wall (fun () ->
       Core.Report.retention ppf
-        (Core.Experiments.site_retention_ablation_all ?sim_jobs:!sim_jobs ~scale:!scale
-           ~jobs:!jobs [ "tsp"; "water" ]))
+        (Core.Experiments.site_retention_ablation_all ~scale:!scale ~jobs:!jobs
+           [ "tsp"; "water" ]))
 
 let run_protocols () =
   section "Protocol comparison (single-writer vs multi-writer vs home-based)";
   wall (fun () ->
       Core.Report.protocols ppf
-        (Core.Experiments.protocol_comparison_all ?sim_jobs:!sim_jobs ~scale:!scale
-           ~jobs:!jobs ()))
+        (Core.Experiments.protocol_comparison_all ~scale:!scale ~jobs:!jobs ()))
 
 let run_faults () =
   section "Fault sweep: report stability over a lossy wire";
@@ -249,8 +236,6 @@ let json_of_sweep_point (sp : Core.Experiments.sweep_point) =
       ("elided_checks", Int stats.Sim.Stats.elided_checks);
       ("protocol", String sp.Core.Experiments.sp_protocol);
       ("backend", String sp.Core.Experiments.sp_backend);
-      ( "sim_jobs",
-        match sp.Core.Experiments.sp_sim_jobs with Some n -> Int n | None -> Null );
       ("wall_s", Float sp.Core.Experiments.sp_wall_s);
       ("sim_time_ns", Int sp.Core.Experiments.sp_sim_time_ns);
       ("races", Int sp.Core.Experiments.sp_races);
@@ -337,8 +322,8 @@ let run_sweep () =
         Parallel.Pool.with_pool ~jobs:!jobs (fun pool ->
             Parallel.Pool.map_exn pool
               (fun (name, nprocs, detect, elide, backend) ->
-                Core.Experiments.sweep_point ?sim_jobs:!sim_jobs ~clock:now_s ~backend
-                  ~scale:!scale ~nprocs ~detect ~elide name)
+                Core.Experiments.sweep_point ~clock:now_s ~backend ~scale:!scale ~nprocs
+                  ~detect ~elide name)
               points)
       in
       List.iter
@@ -377,8 +362,8 @@ let run_separation () =
         Parallel.Pool.with_pool ~jobs:!jobs (fun pool ->
             Parallel.Pool.map_exn pool
               (fun (name, nprocs, backend) ->
-                Core.Experiments.sweep_point ?sim_jobs:!sim_jobs ~clock:now_s ~backend
-                  ~scale:!scale ~nprocs ~detect:true ~elide:false name)
+                Core.Experiments.sweep_point ~clock:now_s ~backend ~scale:!scale ~nprocs
+                  ~detect:true ~elide:false name)
               points)
       in
       Format.fprintf ppf "%-6s %4s %-7s %10s %12s %10s %10s %6s@." "app" "p" "backend"
@@ -477,16 +462,6 @@ let () =
         parse_flags rest
     | "--jobs" :: [] ->
         prerr_endline "--jobs requires a positive integer";
-        exit 2
-    | "--sim-jobs" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some n when n >= 1 -> sim_jobs := Some n
-        | _ ->
-            prerr_endline "--sim-jobs requires a positive integer";
-            exit 2);
-        parse_flags rest
-    | "--sim-jobs" :: [] ->
-        prerr_endline "--sim-jobs requires a positive integer";
         exit 2
     | arg :: rest -> arg :: parse_flags rest
     | [] -> []

@@ -45,9 +45,19 @@ let trace_file_arg =
   in
   Arg.(value & opt (some string) None & info [ "trace-file" ] ~docv:"FILE" ~doc)
 
+(* Processor counts: zero or a negative count is a usage error, not a
+   failure deep inside cluster creation. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let procs_arg =
   let doc = "Number of simulated processors." in
-  Arg.(value & opt int 8 & info [ "p"; "procs" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive_int 8 & info [ "p"; "procs" ] ~docv:"N" ~doc)
 
 let scale_arg =
   let doc =
@@ -178,17 +188,6 @@ let jobs_arg =
   in
   Arg.(value & opt int (Parallel.Pool.default_jobs ()) & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
-let sim_jobs_arg =
-  let doc =
-    "Intra-run parallelism: shard the simulation itself over $(docv) domains \
-     (conservative parallel discrete-event execution). Races, statistics, traces and \
-     checksums are byte-identical whatever $(docv) is; only wall-clock changes. Only the \
-     lrc backend over a fault-free, jitter-free, transport-less wire parallelizes; other \
-     configurations fall back to the sequential engine. Composes with $(b,--jobs): that \
-     flag parallelizes across independent runs, this one inside each run."
-  in
-  Arg.(value & opt (some int) None & info [ "sim-jobs" ] ~docv:"N" ~doc)
-
 let elide_arg =
   let doc =
     "Skip the runtime race check at sites the static MHP analysis proves race-free \
@@ -199,7 +198,7 @@ let elide_arg =
 let ppf = Format.std_formatter
 
 let config ~backend ~protocol ~no_detect ~first_race_only ~stores_from_diffs ~oracle
-    ~gc_epochs ~elide ~sim_jobs =
+    ~gc_epochs ~elide =
   {
     Lrc.Config.default with
     backend;
@@ -210,7 +209,6 @@ let config ~backend ~protocol ~no_detect ~first_race_only ~stores_from_diffs ~or
     record_trace = oracle;
     gc_epochs;
     elide_sites = (if elide then Some [] else None);
-    sim_jobs;
   }
 
 let net_config cfg ~drop ~dup ~reorder ~partitions ~net_seed ~watchdog_ms ~max_retries
@@ -282,12 +280,12 @@ let resolve_workload ~scale ~procs app_name trace_file =
 
 let run_command =
   let run app_name trace_file procs scale backend protocol no_detect first_race_only
-      stores_from_diffs gc_epochs elide sim_jobs slowdown oracle drop dup reorder
+      stores_from_diffs gc_epochs elide slowdown oracle drop dup reorder
       partitions net_seed watchdog_ms max_retries transport =
     let app, procs = resolve_workload ~scale ~procs app_name trace_file in
     let cfg =
       config ~backend ~protocol ~no_detect ~first_race_only ~stores_from_diffs ~oracle
-        ~gc_epochs ~elide ~sim_jobs
+        ~gc_epochs ~elide
     in
     let cfg =
       net_config cfg ~drop ~dup ~reorder ~partitions ~net_seed ~watchdog_ms ~max_retries
@@ -318,11 +316,11 @@ let run_command =
     end
   in
   let run app_name trace_file procs scale backend protocol no_detect first_race_only
-      stores_from_diffs gc_epochs elide sim_jobs slowdown oracle drop dup reorder
+      stores_from_diffs gc_epochs elide slowdown oracle drop dup reorder
       partitions net_seed watchdog_ms max_retries transport =
     try
       run app_name trace_file procs scale backend protocol no_detect first_race_only
-        stores_from_diffs gc_epochs elide sim_jobs slowdown oracle drop dup reorder
+        stores_from_diffs gc_epochs elide slowdown oracle drop dup reorder
         partitions net_seed watchdog_ms max_retries transport
     with Sim.Engine.Deadlock diagnosis ->
       Format.fprintf ppf "DEADLOCK@.%s@." (Sim.Engine.diagnosis_to_string diagnosis);
@@ -331,7 +329,7 @@ let run_command =
   let term =
     Term.(const run $ app_or_trace_arg $ trace_file_arg $ procs_arg $ scale_arg
         $ backend_arg $ protocol_arg $ no_detect_arg $ first_race_arg $ diff_stores_arg
-        $ gc_epochs_arg $ elide_arg $ sim_jobs_arg $ slowdown_arg $ oracle_arg $ drop_arg
+        $ gc_epochs_arg $ elide_arg $ slowdown_arg $ oracle_arg $ drop_arg
         $ dup_arg $ reorder_arg $ partition_arg $ net_seed_arg $ watchdog_arg
         $ max_retries_arg $ transport_arg)
   in
@@ -375,11 +373,11 @@ let record_command =
     Arg.(value & opt string "run.cvmt" & info [ "o"; "output" ] ~docv:"FILE" ~doc)
   in
   let record app_name procs scale backend protocol no_detect first_race_only
-      stores_from_diffs gc_epochs elide sim_jobs drop dup reorder partitions net_seed
+      stores_from_diffs gc_epochs elide drop dup reorder partitions net_seed
       watchdog_ms max_retries transport out =
     let cfg =
       config ~backend ~protocol ~no_detect ~first_race_only ~stores_from_diffs
-        ~oracle:false ~gc_epochs ~elide ~sim_jobs
+        ~oracle:false ~gc_epochs ~elide
     in
     let cfg =
       net_config cfg ~drop ~dup ~reorder ~partitions ~net_seed ~watchdog_ms ~max_retries
@@ -396,11 +394,11 @@ let record_command =
       (String.length log) out
   in
   let record app_name procs scale backend protocol no_detect first_race_only
-      stores_from_diffs gc_epochs elide sim_jobs drop dup reorder partitions net_seed
+      stores_from_diffs gc_epochs elide drop dup reorder partitions net_seed
       watchdog_ms max_retries transport out =
     try
       record app_name procs scale backend protocol no_detect first_race_only
-        stores_from_diffs gc_epochs elide sim_jobs drop dup reorder partitions net_seed
+        stores_from_diffs gc_epochs elide drop dup reorder partitions net_seed
         watchdog_ms max_retries transport out
     with Sim.Engine.Deadlock diagnosis ->
       Format.fprintf ppf "DEADLOCK@.%s@." (Sim.Engine.diagnosis_to_string diagnosis);
@@ -409,7 +407,7 @@ let record_command =
   let term =
     Term.(const record $ app_arg $ procs_arg $ scale_arg $ backend_arg $ protocol_arg
         $ no_detect_arg $ first_race_arg $ diff_stores_arg $ gc_epochs_arg $ elide_arg
-        $ sim_jobs_arg $ drop_arg $ dup_arg $ reorder_arg $ partition_arg $ net_seed_arg
+        $ drop_arg $ dup_arg $ reorder_arg $ partition_arg $ net_seed_arg
         $ watchdog_arg $ max_retries_arg $ transport_arg $ out_arg)
   in
   Cmd.v
@@ -525,7 +523,7 @@ let trace_command =
         (fun (s : Trace.Replay.tag_stats) ->
           Format.fprintf ppf "%-16s %10d %12d@." s.Trace.Replay.ts_tag
             s.Trace.Replay.ts_count s.Trace.Replay.ts_bytes)
-        (Trace.Replay.stats_of_log decoded)
+        (Trace.Replay.per_tag_stats decoded)
     end;
     if events > 0 then
       Array.iteri
@@ -573,7 +571,7 @@ let table_command =
     let doc = Printf.sprintf "Which experiment: %s." (Arg.doc_alts_enum experiments) in
     Arg.(required & pos 0 (some (enum experiments)) None & info [] ~docv:"EXPERIMENT" ~doc)
   in
-  let table which scale backend sim_jobs jobs =
+  let table which scale backend jobs =
     (* figure5, protocols and faults are DSM-mechanism experiments
        (LRC-internal protocol variants, wire faults); --backend does not
        apply to them *)
@@ -583,24 +581,17 @@ let table_command =
         Format.fprintf ppf "note: %s is DSM-specific; --backend %s ignored@." name backend
     | _ -> ());
     match which with
-    | Table1 ->
-        Core.Report.table1 ppf (Core.Experiments.table1 ~scale ~backend ?sim_jobs ~jobs ())
+    | Table1 -> Core.Report.table1 ppf (Core.Experiments.table1 ~scale ~backend ~jobs ())
     | Table2 -> Core.Report.table2 ppf (Core.Experiments.table2 ~scale ~jobs ())
-    | Table3 ->
-        Core.Report.table3 ppf (Core.Experiments.table3 ~scale ~backend ?sim_jobs ~jobs ())
-    | Figure3 ->
-        Core.Report.figure3 ppf (Core.Experiments.figure3 ~scale ~backend ?sim_jobs ~jobs ())
-    | Figure4 ->
-        Core.Report.figure4 ppf (Core.Experiments.figure4 ~scale ~backend ?sim_jobs ~jobs ())
-    | Figure5 -> Core.Report.figure5 ppf (Core.Experiments.figure5_both ?sim_jobs ~jobs ())
+    | Table3 -> Core.Report.table3 ppf (Core.Experiments.table3 ~scale ~backend ~jobs ())
+    | Figure3 -> Core.Report.figure3 ppf (Core.Experiments.figure3 ~scale ~backend ~jobs ())
+    | Figure4 -> Core.Report.figure4 ppf (Core.Experiments.figure4 ~scale ~backend ~jobs ())
+    | Figure5 -> Core.Report.figure5 ppf (Core.Experiments.figure5_both ~jobs ())
     | Protocols ->
-        Core.Report.protocols ppf
-          (Core.Experiments.protocol_comparison_all ~scale ?sim_jobs ~jobs ())
+        Core.Report.protocols ppf (Core.Experiments.protocol_comparison_all ~scale ~jobs ())
     | Faults -> Core.Report.faults ppf (Core.Experiments.fault_sweep_all ~scale ~jobs ())
   in
-  let term =
-    Term.(const table $ which_arg $ scale_arg $ backend_arg $ sim_jobs_arg $ jobs_arg)
-  in
+  let term = Term.(const table $ which_arg $ scale_arg $ backend_arg $ jobs_arg) in
   Cmd.v (Cmd.info "table" ~doc:"Regenerate one of the paper's tables or figures.") term
 
 let sweep_command =
@@ -610,16 +601,17 @@ let sweep_command =
   in
   let procs_list_arg =
     let doc = "Comma-separated processor counts." in
-    Arg.(value & opt (list int) [ 2; 4; 8 ] & info [ "p"; "procs" ] ~docv:"N,N,..." ~doc)
+    Arg.(value
+        & opt (list positive_int) [ 2; 4; 8 ]
+        & info [ "p"; "procs" ] ~docv:"N,N,..." ~doc)
   in
-  let sweep apps procs scale backend sim_jobs jobs =
+  let sweep apps procs scale backend jobs =
     let names = match apps with [] -> Apps.Registry.all_names | names -> names in
     Core.Report.figure4 ppf
-      (Core.Experiments.figure4 ~scale ~procs ~names ~backend ?sim_jobs ~jobs ())
+      (Core.Experiments.figure4 ~scale ~procs ~names ~backend ~jobs ())
   in
   let term =
-    Term.(const sweep $ apps_arg $ procs_list_arg $ scale_arg $ backend_arg $ sim_jobs_arg
-        $ jobs_arg)
+    Term.(const sweep $ apps_arg $ procs_list_arg $ scale_arg $ backend_arg $ jobs_arg)
   in
   Cmd.v
     (Cmd.info "sweep"

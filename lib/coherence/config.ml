@@ -69,15 +69,6 @@ type t = {
          multiple of the word size) *)
   cc_sets : int;  (* bus backends: cache sets per processor *)
   cc_ways : int;  (* bus backends: associativity *)
-  sim_jobs : int option;
-      (* Some j: run the simulation itself on the sharded conservative-
-         PDES engine, with up to j domains executing a window's per-node
-         queues (j = 1 shards but runs inline). Deterministic by
-         construction: results and traces are byte-identical for every j.
-         Only the message-passing DSM backend with a fault-free,
-         jitter-free wire parallelizes; other configurations ignore the
-         setting and run the legacy single-heap loop. None (the default)
-         is the legacy loop. *)
 }
 
 let default =
@@ -102,7 +93,6 @@ let default =
     cc_line_bytes = 64;
     cc_sets = 64;
     cc_ways = 2;
-    sim_jobs = None;
   }
 
 let protocol_name = function

@@ -36,9 +36,9 @@ let paper_table1 =
   ]
 
 let table1_row ?(scale = Apps.Registry.Paper) ?(nprocs = default_procs)
-    ?(backend = "lrc") ?sim_jobs name =
+    ?(backend = "lrc") name =
   let app = Apps.Registry.make ~scale name in
-  let cfg = { Lrc.Config.default with Lrc.Config.backend; sim_jobs } in
+  let cfg = { Lrc.Config.default with Lrc.Config.backend } in
   let sd = Driver.measure_slowdown ~cfg ~app ~nprocs () in
   let stats = sd.Driver.instrumented.Driver.stats in
   {
@@ -53,8 +53,8 @@ let table1_row ?(scale = Apps.Registry.Paper) ?(nprocs = default_procs)
     t1_slowdown = sd.Driver.factor;
   }
 
-let table1 ?scale ?nprocs ?backend ?sim_jobs ?jobs () =
-  pmap ?jobs (table1_row ?scale ?nprocs ?backend ?sim_jobs) Apps.Registry.all_names
+let table1 ?scale ?nprocs ?backend ?jobs () =
+  pmap ?jobs (table1_row ?scale ?nprocs ?backend) Apps.Registry.all_names
 
 (* ------------------------------------------------------------------ *)
 (* Table 2: static instrumentation statistics                          *)
@@ -104,13 +104,13 @@ let table3_of_outcome (outcome : Driver.outcome) =
   }
 
 let table3_row ?(scale = Apps.Registry.Paper) ?(nprocs = default_procs)
-    ?(backend = "lrc") ?sim_jobs name =
+    ?(backend = "lrc") name =
   let app = Apps.Registry.make ~scale name in
-  let cfg = { Lrc.Config.default with Lrc.Config.backend; sim_jobs } in
+  let cfg = { Lrc.Config.default with Lrc.Config.backend } in
   table3_of_outcome (Driver.run ~cfg ~app ~nprocs ())
 
-let table3 ?scale ?nprocs ?backend ?sim_jobs ?jobs () =
-  pmap ?jobs (table3_row ?scale ?nprocs ?backend ?sim_jobs) Apps.Registry.all_names
+let table3 ?scale ?nprocs ?backend ?jobs () =
+  pmap ?jobs (table3_row ?scale ?nprocs ?backend) Apps.Registry.all_names
 
 (* ------------------------------------------------------------------ *)
 (* Figure 3: overhead breakdown per application                        *)
@@ -122,9 +122,9 @@ type figure3_row = {
 }
 
 let figure3_row ?(scale = Apps.Registry.Paper) ?(nprocs = default_procs)
-    ?(backend = "lrc") ?sim_jobs name =
+    ?(backend = "lrc") name =
   let app = Apps.Registry.make ~scale name in
-  let cfg = { Lrc.Config.default with Lrc.Config.backend; sim_jobs } in
+  let cfg = { Lrc.Config.default with Lrc.Config.backend } in
   let sd = Driver.measure_slowdown ~cfg ~app ~nprocs () in
   {
     f3_name = app.Apps.App.name;
@@ -132,8 +132,8 @@ let figure3_row ?(scale = Apps.Registry.Paper) ?(nprocs = default_procs)
     f3_overheads = Driver.overhead_percentages sd;
   }
 
-let figure3 ?scale ?nprocs ?backend ?sim_jobs ?jobs () =
-  pmap ?jobs (figure3_row ?scale ?nprocs ?backend ?sim_jobs) Apps.Registry.all_names
+let figure3 ?scale ?nprocs ?backend ?jobs () =
+  pmap ?jobs (figure3_row ?scale ?nprocs ?backend) Apps.Registry.all_names
 
 (* ------------------------------------------------------------------ *)
 (* Figure 4: slowdown versus number of processors                      *)
@@ -141,9 +141,9 @@ let figure3 ?scale ?nprocs ?backend ?sim_jobs ?jobs () =
 type figure4_row = { f4_name : string; f4_points : (int * float) list }
 
 let figure4_row ?(scale = Apps.Registry.Paper) ?(procs = [ 2; 4; 8 ]) ?(backend = "lrc")
-    ?sim_jobs name =
+    name =
   let app = Apps.Registry.make ~scale name in
-  let cfg = { Lrc.Config.default with Lrc.Config.backend; sim_jobs } in
+  let cfg = { Lrc.Config.default with Lrc.Config.backend } in
   {
     f4_name = app.Apps.App.name;
     f4_points =
@@ -160,9 +160,9 @@ let figure4_row ?(scale = Apps.Registry.Paper) ?(procs = [ 2; 4; 8 ]) ?(backend 
 let figure4_points ?(procs = [ 2; 4; 8 ]) ?(names = Apps.Registry.all_names) () =
   List.concat_map (fun name -> List.map (fun nprocs -> (name, nprocs)) procs) names
 
-let figure4_point ?scale ?(backend = "lrc") ?sim_jobs ~nprocs name =
+let figure4_point ?scale ?(backend = "lrc") ~nprocs name =
   let app = Apps.Registry.make ?scale name in
-  let cfg = { Lrc.Config.default with Lrc.Config.backend; sim_jobs } in
+  let cfg = { Lrc.Config.default with Lrc.Config.backend } in
   let sd = Driver.measure_slowdown ~cfg ~app ~nprocs () in
   (app.Apps.App.name, (nprocs, sd.Driver.factor))
 
@@ -181,12 +181,10 @@ let figure4_rows ~names ~points factors =
       })
     names
 
-let figure4 ?scale ?procs ?(names = Apps.Registry.all_names) ?backend ?sim_jobs ?jobs () =
+let figure4 ?scale ?procs ?(names = Apps.Registry.all_names) ?backend ?jobs () =
   let points = figure4_points ?procs ~names () in
   let factors =
-    pmap ?jobs
-      (fun (name, nprocs) -> figure4_point ?scale ?backend ?sim_jobs ~nprocs name)
-      points
+    pmap ?jobs (fun (name, nprocs) -> figure4_point ?scale ?backend ~nprocs name) points
   in
   figure4_rows ~names ~points factors
 
@@ -207,8 +205,8 @@ type figure5_result = {
    sequentially consistent system P2 sees qPtr = 100 (qEmpty's value could
    only have propagated together with qPtr's) and the slot races cannot
    occur. *)
-let figure5 ?sim_jobs ~protocol () =
-  let cfg = { Lrc.Config.default with protocol; detect = true; sim_jobs } in
+let figure5 ~protocol () =
+  let cfg = { Lrc.Config.default with protocol; detect = true } in
   let cost = Sim.Cost.default in
   let cluster = Lrc.Cluster.create ~cost ~cfg ~nprocs:3 ~pages:8 () in
   let page = cost.Sim.Cost.page_size in
@@ -267,9 +265,9 @@ let figure5 ?sim_jobs ~protocol () =
     f5_racy_words = racy;
   }
 
-let figure5_both ?sim_jobs ?jobs () =
+let figure5_both ?jobs () =
   pmap ?jobs
-    (fun protocol -> figure5 ?sim_jobs ~protocol ())
+    (fun protocol -> figure5 ~protocol ())
     [ Lrc.Config.Single_writer; Lrc.Config.Seq_consistent ]
 
 (* ------------------------------------------------------------------ *)
@@ -283,12 +281,9 @@ type ablation_row = {
   ab_diff_races : int;
 }
 
-let stores_from_diffs_ablation ?(scale = Apps.Registry.Paper) ?(nprocs = default_procs)
-    ?sim_jobs name =
+let stores_from_diffs_ablation ?(scale = Apps.Registry.Paper) ?(nprocs = default_procs) name =
   let app = Apps.Registry.make ~scale name in
-  let cfg =
-    { Lrc.Config.default with Lrc.Config.protocol = Lrc.Config.Multi_writer; sim_jobs }
-  in
+  let cfg = { Lrc.Config.default with Lrc.Config.protocol = Lrc.Config.Multi_writer } in
   let full = Driver.measure_slowdown ~cfg ~app ~nprocs () in
   let cfg_diff = { cfg with Lrc.Config.stores_from_diffs = true } in
   let diff = Driver.measure_slowdown ~cfg:cfg_diff ~app ~nprocs () in
@@ -300,8 +295,8 @@ let stores_from_diffs_ablation ?(scale = Apps.Registry.Paper) ?(nprocs = default
     ab_diff_races = List.length diff.Driver.instrumented.Driver.races;
   }
 
-let stores_from_diffs_ablation_all ?scale ?nprocs ?sim_jobs ?jobs names =
-  pmap ?jobs (stores_from_diffs_ablation ?scale ?nprocs ?sim_jobs) names
+let stores_from_diffs_ablation_all ?scale ?nprocs ?jobs names =
+  pmap ?jobs (stores_from_diffs_ablation ?scale ?nprocs) names
 
 (* ------------------------------------------------------------------ *)
 (* Protocol comparison: the same applications over the single-writer,
@@ -320,9 +315,9 @@ type protocol_row = {
 let compared_protocols =
   [ Lrc.Config.Single_writer; Lrc.Config.Multi_writer; Lrc.Config.Home_based ]
 
-let protocol_row ?sim_jobs ~scale ~nprocs name protocol =
+let protocol_row ~scale ~nprocs name protocol =
   let app = Apps.Registry.make ~scale name in
-  let cfg = { Lrc.Config.default with Lrc.Config.protocol; detect = false; sim_jobs } in
+  let cfg = { Lrc.Config.default with Lrc.Config.protocol; detect = false } in
   let outcome = Driver.run ~cfg ~app ~nprocs () in
   let stats = outcome.Driver.stats in
   {
@@ -335,18 +330,15 @@ let protocol_row ?sim_jobs ~scale ~nprocs name protocol =
     pr_diffs = stats.Sim.Stats.diffs_created;
   }
 
-let protocol_comparison ?(scale = Apps.Registry.Paper) ?(nprocs = default_procs) ?sim_jobs
-    name =
-  List.map (protocol_row ?sim_jobs ~scale ~nprocs name) compared_protocols
+let protocol_comparison ?(scale = Apps.Registry.Paper) ?(nprocs = default_procs) name =
+  List.map (protocol_row ~scale ~nprocs name) compared_protocols
 
 let protocol_comparison_all ?(scale = Apps.Registry.Paper) ?(nprocs = default_procs)
-    ?(names = Apps.Registry.all_names) ?sim_jobs ?jobs () =
+    ?(names = Apps.Registry.all_names) ?jobs () =
   let tasks =
     List.concat_map (fun name -> List.map (fun p -> (name, p)) compared_protocols) names
   in
-  pmap ?jobs
-    (fun (name, protocol) -> protocol_row ?sim_jobs ~scale ~nprocs name protocol)
-    tasks
+  pmap ?jobs (fun (name, protocol) -> protocol_row ~scale ~nprocs name protocol) tasks
 
 (* ------------------------------------------------------------------ *)
 (* Robustness: race-report stability over a lossy wire                  *)
@@ -424,13 +416,10 @@ type retention_row = {
   rt_site_kbytes : int;  (* approximate storage the paper calls prohibitive *)
 }
 
-let site_retention_ablation ?(scale = Apps.Registry.Paper) ?(nprocs = default_procs)
-    ?sim_jobs name =
+let site_retention_ablation ?(scale = Apps.Registry.Paper) ?(nprocs = default_procs) name =
   let app = Apps.Registry.make ~scale name in
-  let plain =
-    Driver.measure_slowdown ~cfg:{ Lrc.Config.default with sim_jobs } ~app ~nprocs ()
-  in
-  let cfg = { Lrc.Config.default with Lrc.Config.retain_sites = true; sim_jobs } in
+  let plain = Driver.measure_slowdown ~app ~nprocs () in
+  let cfg = { Lrc.Config.default with Lrc.Config.retain_sites = true } in
   let retain = Driver.measure_slowdown ~cfg ~app ~nprocs () in
   let entries = retain.Driver.instrumented.Driver.stats.Sim.Stats.site_entries in
   {
@@ -441,8 +430,8 @@ let site_retention_ablation ?(scale = Apps.Registry.Paper) ?(nprocs = default_pr
     rt_site_kbytes = entries * 32 / 1024;
   }
 
-let site_retention_ablation_all ?scale ?nprocs ?sim_jobs ?jobs names =
-  pmap ?jobs (site_retention_ablation ?scale ?nprocs ?sim_jobs) names
+let site_retention_ablation_all ?scale ?nprocs ?jobs names =
+  pmap ?jobs (site_retention_ablation ?scale ?nprocs) names
 
 (* ------------------------------------------------------------------ *)
 (* The benchmark harness's machine-readable sweep point: one simulated
@@ -460,7 +449,6 @@ type sweep_point = {
   sp_elide : bool;
   sp_protocol : string;
   sp_backend : string;
-  sp_sim_jobs : int option;  (* intra-run parallelism the point ran with *)
   sp_wall_s : float;
   sp_sim_time_ns : int;
   sp_races : int;
@@ -473,8 +461,8 @@ type sweep_point = {
   sp_major_collections : int;
 }
 
-let sweep_point ?(clock = Unix.gettimeofday) ?(backend = "lrc") ?sim_jobs ~scale ~nprocs
-    ~detect ~elide name =
+let sweep_point ?(clock = Unix.gettimeofday) ?(backend = "lrc") ~scale ~nprocs ~detect
+    ~elide name =
   let app = Apps.Registry.make ~scale name in
   let cfg =
     {
@@ -482,7 +470,6 @@ let sweep_point ?(clock = Unix.gettimeofday) ?(backend = "lrc") ?sim_jobs ~scale
       Lrc.Config.backend;
       detect;
       elide_sites = (if elide then Some [] else None);
-      sim_jobs;
     }
   in
   (* level the heap between points so one entry's garbage does not bill
@@ -501,7 +488,6 @@ let sweep_point ?(clock = Unix.gettimeofday) ?(backend = "lrc") ?sim_jobs ~scale
     sp_elide = elide;
     sp_protocol = Lrc.Config.protocol_name cfg.Lrc.Config.protocol;
     sp_backend = backend;
-    sp_sim_jobs = sim_jobs;
     sp_wall_s = t1 -. t0;
     sp_sim_time_ns = outcome.Driver.sim_time_ns;
     sp_races = List.length outcome.Driver.races;

@@ -10,24 +10,6 @@
    code changed, or determinism broke — all three are exactly what this
    exists to catch. *)
 
-let scale_name = function
-  | Apps.Registry.Paper -> "paper"
-  | Apps.Registry.Small -> "small"
-  | Apps.Registry.Large -> "large"
-
-let scale_of_name = function
-  | "paper" -> Apps.Registry.Paper
-  | "small" -> Apps.Registry.Small
-  | "large" -> Apps.Registry.Large
-  | s -> invalid_arg (Printf.sprintf "Trace_run: unknown scale %S" s)
-
-let protocol_of_name = function
-  | "single-writer" -> Lrc.Config.Single_writer
-  | "multi-writer" -> Lrc.Config.Multi_writer
-  | "home-based" -> Lrc.Config.Home_based
-  | "sequential-consistency" -> Lrc.Config.Seq_consistent
-  | s -> invalid_arg (Printf.sprintf "Trace_run: unknown protocol %S" s)
-
 (* Both directions of the transport mapping record/rebuild every field:
    a recording made with a tuned RTO, backoff ceiling, retry cap or
    header/ack wire sizes must replay under the identical retransmission
@@ -51,11 +33,11 @@ let transport_of_meta (tm : Trace.Codec.transport_meta) : Sim.Transport.config =
     ack_bytes = tm.Trace.Codec.tm_ack_bytes;
   }
 
-let meta_of ?cost ~app_name ~scale ~nprocs (cfg : Lrc.Config.t) : Trace.Codec.meta =
+let meta_of ~app_name ~scale ~nprocs (cfg : Lrc.Config.t) : Trace.Codec.meta =
   let fault = cfg.Lrc.Config.fault in
   {
     Trace.Codec.m_app = app_name;
-    m_scale = scale_name scale;
+    m_scale = Apps.Registry.scale_name scale;
     m_nprocs = nprocs;
     m_protocol = Lrc.Config.protocol_name cfg.Lrc.Config.protocol;
     m_detect = cfg.Lrc.Config.detect;
@@ -84,21 +66,15 @@ let meta_of ?cost ~app_name ~scale ~nprocs (cfg : Lrc.Config.t) : Trace.Codec.me
     m_cc_line_bytes = cfg.Lrc.Config.cc_line_bytes;
     m_cc_sets = cfg.Lrc.Config.cc_sets;
     m_cc_ways = cfg.Lrc.Config.cc_ways;
-    (* The schedule marker, not the domain count: Some 1 when the run
-       used the window-sharded engine (whose event times differ from the
-       legacy loop's), None otherwise. The domain count is deliberately
-       NOT recorded — the whole contract of --sim-jobs is that it is
-       unobservable, and recording it would break the byte-for-byte
-       identity of logs across domain counts. An ineligible config
-       (reliable transport, jitter) fell back to the legacy loop, so it
-       must be stamped None even if the flag was set. *)
-    m_sim_jobs = (if Lrc.Cluster.windowed ?cost cfg then Some 1 else None);
+    (* the v5 schedule marker: only logs recorded on the removed sharded
+       engine carry it, and those are rejected on replay *)
+    m_sim_jobs = None;
   }
 
 let config_of_meta (m : Trace.Codec.meta) : Lrc.Config.t =
   {
     Lrc.Config.default with
-    Lrc.Config.protocol = protocol_of_name m.Trace.Codec.m_protocol;
+    Lrc.Config.protocol = Lrc.Config.protocol_of_name m.Trace.Codec.m_protocol;
     detect = m.Trace.Codec.m_detect;
     first_race_only = m.Trace.Codec.m_first_race_only;
     stores_from_diffs = m.Trace.Codec.m_stores_from_diffs;
@@ -126,16 +102,33 @@ let config_of_meta (m : Trace.Codec.meta) : Lrc.Config.t =
     cc_line_bytes = m.Trace.Codec.m_cc_line_bytes;
     cc_sets = m.Trace.Codec.m_cc_sets;
     cc_ways = m.Trace.Codec.m_cc_ways;
-    (* A sharded-engine recording replays on the sharded engine (its
-       event times differ from the legacy loop's); the marker is always
-       Some 1 and one domain is all replay ever needs — the interleaving
-       is domain-count-invariant. *)
-    sim_jobs = Option.map (fun _ -> 1) m.Trace.Codec.m_sim_jobs;
   }
+
+(* A log this build cannot re-execute is rejected before anything runs,
+   naming the offending metadata field: an unknown app, scale, protocol
+   or backend, or the schedule marker of the removed sharded engine,
+   whose event order this build no longer has. *)
+let check_replayable (m : Trace.Codec.meta) =
+  let reject fmt = Printf.ksprintf (fun msg -> raise (Trace.Codec.Corrupt msg)) fmt in
+  let parses f v = match f v with _ -> true | exception Invalid_argument _ -> false in
+  let app = m.Trace.Codec.m_app in
+  if not (List.mem (String.lowercase_ascii app) Apps.Registry.extended_names) then
+    reject "meta m_app: unknown application %S" app;
+  if not (parses Apps.Registry.scale_of_name m.Trace.Codec.m_scale) then
+    reject "meta m_scale: unknown scale %S" m.Trace.Codec.m_scale;
+  if not (parses Lrc.Config.protocol_of_name m.Trace.Codec.m_protocol) then
+    reject "meta m_protocol: unknown protocol %S" m.Trace.Codec.m_protocol;
+  if not (Backends.known m.Trace.Codec.m_backend) then
+    reject "meta m_backend: unknown backend %S" m.Trace.Codec.m_backend;
+  match m.Trace.Codec.m_sim_jobs with
+  | Some marker ->
+      reject "meta m_sim_jobs: Some %d marks a recording on the removed sharded engine"
+        marker
+  | None -> ()
 
 let record ?cost ?(cfg = Lrc.Config.default) ~app_name ~scale ~nprocs () =
   let app = Apps.Registry.make ~scale app_name in
-  let meta = meta_of ?cost ~app_name ~scale ~nprocs cfg in
+  let meta = meta_of ~app_name ~scale ~nprocs cfg in
   let recorder = Trace.Sink.recorder meta in
   let cfg = { cfg with Lrc.Config.tracer = Some (Trace.Sink.sink recorder) } in
   let outcome = Driver.run ?cost ~cfg ~app ~nprocs () in
@@ -154,7 +147,11 @@ let clean r = r.rr_divergence = None && r.rr_races_match && r.rr_checksum_match
 let replay ?cost log =
   let decoded = Trace.Codec.decode log in
   let m = decoded.Trace.Codec.meta in
-  let app = Apps.Registry.make ~scale:(scale_of_name m.Trace.Codec.m_scale) m.Trace.Codec.m_app in
+  check_replayable m;
+  let app =
+    Apps.Registry.make ~scale:(Apps.Registry.scale_of_name m.Trace.Codec.m_scale)
+      m.Trace.Codec.m_app
+  in
   let verifier = Trace.Replay.create decoded in
   let cfg =
     { (config_of_meta m) with Lrc.Config.tracer = Some (Trace.Replay.sink verifier) }

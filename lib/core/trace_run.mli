@@ -6,20 +6,11 @@
     first divergence if the two executions disagree anywhere — from a
     single wire-frame fate up to the final race set and memory image. *)
 
-val scale_name : Apps.Registry.scale -> string
-val scale_of_name : string -> Apps.Registry.scale
-val protocol_of_name : string -> Lrc.Config.protocol
-(** Inverse of {!Lrc.Config.protocol_name}; raises [Invalid_argument]. *)
-
 val meta_of :
-  ?cost:Sim.Cost.t ->
   app_name:string -> scale:Apps.Registry.scale -> nprocs:int -> Lrc.Config.t ->
   Trace.Codec.meta
 (** The metadata header a recording of this configuration carries.
-    [m_sim_jobs] is stamped [Some 1] iff the run would use the
-    window-sharded engine under [cost] ({!Lrc.Cluster.windowed}) — a
-    schedule marker, never the domain count, so logs recorded at any
-    [--sim-jobs N] are byte-identical. *)
+    [m_sim_jobs] is always [None]. *)
 
 val config_of_meta : Trace.Codec.meta -> Lrc.Config.t
 (** The cluster configuration a log's metadata describes (tracer unset). *)
@@ -48,8 +39,10 @@ val clean : replay_result -> bool
 
 val replay : ?cost:Sim.Cost.t -> string -> replay_result
 (** Verify a binary log by re-execution. Raises {!Trace.Codec.Corrupt}
-    on a malformed log and [Invalid_argument] on unknown app/protocol
-    names in the metadata. *)
+    on a malformed log, and before running anything on metadata this
+    build cannot re-execute: an unknown app, scale, protocol or backend,
+    or an [m_sim_jobs] marker (a recording on the removed sharded
+    engine). The message names the field and its value. *)
 
 val load : string -> string
 (** Read a whole binary file. *)

@@ -83,21 +83,10 @@ type runtime = {
   timed : (int * int * Racedetect.Oracle.event) list ref;  (* (ns, proc, ev) *)
   recorder : Coherence.Sync_trace.recorder option;
   symtab : Mem.Symtab.t;  (* names for shared allocations (section 6.1) *)
-  (* Per-node views of [stats]/[trace]/[timed]. On the legacy engine every
-     cell aliases the shared record/refs above — behaviour is unchanged.
-     On the sharded engine each cell is private to its node's shard, so
-     concurrent shards never write the same structure; Cluster folds them
-     back deterministically after the run. *)
-  node_stats : Sim.Stats.t array;
-  node_trace : (int * Racedetect.Oracle.event) list ref array;
-  node_timed : (int * int * Racedetect.Oracle.event) list ref array;
 }
 
 type t = {
   rt : runtime;
-  stats : Sim.Stats.t;  (* = rt.node_stats.(id) *)
-  trace_buf : (int * Racedetect.Oracle.event) list ref;  (* = rt.node_trace.(id) *)
-  timed_buf : (int * int * Racedetect.Oracle.event) list ref;  (* = rt.node_timed.(id) *)
   id : int;
   nprocs : int;
   vc : Proto.Vclock.t;
@@ -170,7 +159,7 @@ let words_per_page t = Mem.Geometry.words_per_page t.rt.geometry
 let charge_local t ns = Array.unsafe_set t.debt 0 (Array.unsafe_get t.debt 0 +. ns)
 
 let charge_category t category ns =
-  Sim.Stats.charge t.stats category ns;
+  Sim.Stats.charge t.rt.stats category ns;
   charge_local t ns
 
 let flush_time t =
@@ -186,8 +175,8 @@ let flush_time t =
 
 let emit_trace t event =
   if t.rt.cfg.Config.record_trace then begin
-    t.trace_buf := (t.id, event) :: !(t.trace_buf);
-    t.timed_buf := (Sim.Engine.now t.rt.engine, t.id, event) :: !(t.timed_buf)
+    t.rt.trace := (t.id, event) :: !(t.rt.trace);
+    t.rt.timed := (Sim.Engine.now t.rt.engine, t.id, event) :: !(t.rt.timed)
   end
 
 (* Access-path variants that only construct the event when a trace is
@@ -202,15 +191,9 @@ let trace_write t addr =
 (* Record/replay sink: protocol-level events carry context (vector clocks,
    interval ids, page lists) the sim layer's probe cannot see, so they are
    emitted here. One branch when no tracer is configured. *)
-(* The sink is shared across nodes, so on the sharded engine the emission
-   is deferred to the window barrier ([Engine.defer] is immediate on the
-   legacy engine); [Engine.now] inside the thunk reads the recorded
-   emission time during a deferred flush. *)
 let emit_sink t event =
   match t.rt.cfg.Config.tracer with
-  | Some sink ->
-      Sim.Engine.defer t.rt.engine (fun () ->
-          Trace.Sink.emit sink ~time:(Sim.Engine.now t.rt.engine) event)
+  | Some sink -> Trace.Sink.emit sink ~time:(Sim.Engine.now t.rt.engine) event
   | None -> ()
 
 let tracing t = t.rt.cfg.Config.tracer <> None
@@ -261,14 +244,14 @@ let send t ~dst msg =
   | Message.Barrier_release { intervals; _ } ->
       if with_read_notices then begin
         let extra = Message.read_notice_bytes intervals in
-        t.stats.Sim.Stats.read_notice_bytes <-
-          t.stats.Sim.Stats.read_notice_bytes + extra;
-        Sim.Stats.charge t.stats Sim.Stats.Cvm_mods
+        t.rt.stats.Sim.Stats.read_notice_bytes <-
+          t.rt.stats.Sim.Stats.read_notice_bytes + extra;
+        Sim.Stats.charge t.rt.stats Sim.Stats.Cvm_mods
           (t.rt.cost.Sim.Cost.byte_ns *. float_of_int extra)
       end
   | Message.Bitmap_req _ | Message.Bitmap_reply _ ->
-      t.stats.Sim.Stats.bitmap_round_bytes <-
-        t.stats.Sim.Stats.bitmap_round_bytes + Message.size ~with_read_notices msg
+      t.rt.stats.Sim.Stats.bitmap_round_bytes <-
+        t.rt.stats.Sim.Stats.bitmap_round_bytes + Message.size ~with_read_notices msg
   | _ -> ());
   Sim.Net.send (net t) ~src:t.id ~dst msg
 
@@ -301,7 +284,7 @@ let snapshot_bitmaps t interval =
       in
       if Mem.Bitmap.any_set reads then Proto.Interval.add_read_page interval page;
       Hashtbl.replace t.bitmap_store (id, page) { Racedetect.Detector.reads; writes };
-      t.stats.Sim.Stats.bitmaps_total <- t.stats.Sim.Stats.bitmaps_total + 1;
+      t.rt.stats.Sim.Stats.bitmaps_total <- t.rt.stats.Sim.Stats.bitmaps_total + 1;
       charge_category t Sim.Stats.Cvm_mods t.rt.cost.Sim.Cost.notice_setup_ns)
     pages;
   Hashtbl.iter
@@ -314,7 +297,7 @@ let snapshot_bitmaps t interval =
   if t.rt.cfg.Config.retain_sites then begin
     Hashtbl.iter
       (fun (page, word, kind) site ->
-        t.stats.Sim.Stats.site_entries <- t.stats.Sim.Stats.site_entries + 1;
+        t.rt.stats.Sim.Stats.site_entries <- t.rt.stats.Sim.Stats.site_entries + 1;
         Hashtbl.replace t.site_store (id, page, word, kind) site)
       t.cur_sites;
     Hashtbl.reset t.cur_sites
@@ -338,9 +321,9 @@ let make_diffs t interval =
             debug_event t ~page "close diff p%d.%d (%d words)" id.Proto.Interval.proc
               id.Proto.Interval.index (Mem.Diff.word_count diff);
           Hashtbl.replace t.diff_store (id, page) (diff, interval.Proto.Interval.epoch);
-          t.stats.Sim.Stats.diffs_created <- t.stats.Sim.Stats.diffs_created + 1;
-          t.stats.Sim.Stats.diff_words <-
-            t.stats.Sim.Stats.diff_words + Mem.Diff.word_count diff;
+          t.rt.stats.Sim.Stats.diffs_created <- t.rt.stats.Sim.Stats.diffs_created + 1;
+          t.rt.stats.Sim.Stats.diff_words <-
+            t.rt.stats.Sim.Stats.diff_words + Mem.Diff.word_count diff;
           charge_local t
             (t.rt.cost.Sim.Cost.diff_word_ns *. float_of_int (words_per_page t));
           if detect_on t && stores_from_diffs t then begin
@@ -370,9 +353,9 @@ let flush_diffs t interval =
           let diff = Mem.Diff.create ~page ~twin ~current:entry.data in
           entry.twin <- None;
           entry.state <- P_read;
-          t.stats.Sim.Stats.diffs_created <- t.stats.Sim.Stats.diffs_created + 1;
-          t.stats.Sim.Stats.diff_words <-
-            t.stats.Sim.Stats.diff_words + Mem.Diff.word_count diff;
+          t.rt.stats.Sim.Stats.diffs_created <- t.rt.stats.Sim.Stats.diffs_created + 1;
+          t.rt.stats.Sim.Stats.diff_words <-
+            t.rt.stats.Sim.Stats.diff_words + Mem.Diff.word_count diff;
           charge_local t (t.rt.cost.Sim.Cost.diff_word_ns *. float_of_int (words_per_page t));
           send t ~dst:(home_of t page)
             (Message.Diff_flush { page; diffs = [ (id, diff) ]; vc = Proto.Vclock.copy t.vc }))
@@ -420,7 +403,7 @@ let open_interval t =
   t.max_seen.(t.id) <- index;
   if tracing t then
     emit_sink t (Trace.Event.Interval_open { proc = t.id; index; epoch = t.epoch });
-  t.stats.Sim.Stats.intervals_created <- t.stats.Sim.Stats.intervals_created + 1;
+  t.rt.stats.Sim.Stats.intervals_created <- t.rt.stats.Sim.Stats.intervals_created + 1;
   charge_local t t.rt.cost.Sim.Cost.interval_setup_ns
 
 let learn t interval =
@@ -532,10 +515,10 @@ let install_page t page bytes =
   let entry = t.pages.(page) in
   Bytes.blit bytes 0 (Mem.Page.raw entry.data) 0 (Bytes.length bytes);
   if debug_enabled then debug_event t ~page "install";
-  t.stats.Sim.Stats.pages_fetched <- t.stats.Sim.Stats.pages_fetched + 1
+  t.rt.stats.Sim.Stats.pages_fetched <- t.rt.stats.Sim.Stats.pages_fetched + 1
 
 let sw_read_fault t page =
-  t.stats.Sim.Stats.read_faults <- t.stats.Sim.Stats.read_faults + 1;
+  t.rt.stats.Sim.Stats.read_faults <- t.rt.stats.Sim.Stats.read_faults + 1;
   emit_sink t (Trace.Event.Page_fault { proc = t.id; page; kind = Proto.Race.Read });
   fault_prologue t;
   send t ~dst:0 (Message.Copy_req { page; requester = t.id });
@@ -553,7 +536,7 @@ let sw_read_fault t page =
 
 let rec sw_write_fault t page =
   let entry = t.pages.(page) in
-  t.stats.Sim.Stats.write_faults <- t.stats.Sim.Stats.write_faults + 1;
+  t.rt.stats.Sim.Stats.write_faults <- t.rt.stats.Sim.Stats.write_faults + 1;
   emit_sink t (Trace.Event.Page_fault { proc = t.id; page; kind = Proto.Race.Write });
   if entry.owner then begin
     (* local fault from the interval-start downgrade: just record the write
@@ -593,7 +576,7 @@ let mw_apply_pending t page =
   (match List.sort_uniq Proto.Interval.compare_ids entry.pending with
   | [] -> ()
   | pending ->
-    t.stats.Sim.Stats.read_faults <- t.stats.Sim.Stats.read_faults + 1;
+    t.rt.stats.Sim.Stats.read_faults <- t.rt.stats.Sim.Stats.read_faults + 1;
     emit_sink t (Trace.Event.Page_fault { proc = t.id; page; kind = Proto.Race.Read });
     fault_prologue t;
     (* group the needed diffs by creating processor; one request each *)
@@ -651,7 +634,7 @@ let mw_apply_pending t page =
 let mw_write_fault t page =
   let entry = t.pages.(page) in
   if entry.state = P_invalid then mw_apply_pending t page;
-  t.stats.Sim.Stats.write_faults <- t.stats.Sim.Stats.write_faults + 1;
+  t.rt.stats.Sim.Stats.write_faults <- t.rt.stats.Sim.Stats.write_faults + 1;
   emit_sink t (Trace.Event.Page_fault { proc = t.id; page; kind = Proto.Race.Write });
   flush_time t;
   Sim.Engine.advance (t.rt.cost.Sim.Cost.fault_ns / 10);
@@ -666,7 +649,7 @@ let mw_write_fault t page =
 
 let hb_read_fault t page =
   let entry = t.pages.(page) in
-  t.stats.Sim.Stats.read_faults <- t.stats.Sim.Stats.read_faults + 1;
+  t.rt.stats.Sim.Stats.read_faults <- t.rt.stats.Sim.Stats.read_faults + 1;
   emit_sink t (Trace.Event.Page_fault { proc = t.id; page; kind = Proto.Race.Read });
   fault_prologue t;
   send t ~dst:(home_of t page)
@@ -684,7 +667,7 @@ let hb_read_fault t page =
 let hb_write_fault t page =
   let entry = t.pages.(page) in
   if entry.state = P_invalid then hb_read_fault t page;
-  t.stats.Sim.Stats.write_faults <- t.stats.Sim.Stats.write_faults + 1;
+  t.rt.stats.Sim.Stats.write_faults <- t.rt.stats.Sim.Stats.write_faults + 1;
   emit_sink t (Trace.Event.Page_fault { proc = t.id; page; kind = Proto.Race.Write });
   flush_time t;
   Sim.Engine.advance (t.rt.cost.Sim.Cost.fault_ns / 10);
@@ -765,20 +748,20 @@ let elided t site = Hashtbl.length t.elide > 0 && Hashtbl.mem t.elide site
 
 let read_note t ~site addr page word =
   charge_local t t.rt.cost.Sim.Cost.instr_ns;
-  t.stats.Sim.Stats.shared_reads <- t.stats.Sim.Stats.shared_reads + 1;
+  t.rt.stats.Sim.Stats.shared_reads <- t.rt.stats.Sim.Stats.shared_reads + 1;
   if detect_on t then
     if elided t site then
-      t.stats.Sim.Stats.elided_checks <- t.stats.Sim.Stats.elided_checks + 1
+      t.rt.stats.Sim.Stats.elided_checks <- t.rt.stats.Sim.Stats.elided_checks + 1
     else instrument_access t page word Proto.Race.Read ~site;
   observe t ~site ~addr Proto.Race.Read;
   trace_read t addr
 
 let write_note t ~site addr page word =
   charge_local t t.rt.cost.Sim.Cost.instr_ns;
-  t.stats.Sim.Stats.shared_writes <- t.stats.Sim.Stats.shared_writes + 1;
+  t.rt.stats.Sim.Stats.shared_writes <- t.rt.stats.Sim.Stats.shared_writes + 1;
   if detect_on t && not (stores_from_diffs t) then
     if elided t site then
-      t.stats.Sim.Stats.elided_checks <- t.stats.Sim.Stats.elided_checks + 1
+      t.rt.stats.Sim.Stats.elided_checks <- t.rt.stats.Sim.Stats.elided_checks + 1
     else instrument_access t page word Proto.Race.Write ~site;
   observe t ~site ~addr Proto.Race.Write;
   trace_write t addr
@@ -914,7 +897,7 @@ let write_word_float t ?(site = "?") addr value =
 let touch_private t n =
   (* n private accesses that survived static analysis: they pay the full
      analysis-routine cost at runtime but never set a bitmap bit. *)
-  t.stats.Sim.Stats.private_accesses <- t.stats.Sim.Stats.private_accesses + n;
+  t.rt.stats.Sim.Stats.private_accesses <- t.rt.stats.Sim.Stats.private_accesses + n;
   let fn = float_of_int n in
   charge_local t (t.rt.cost.Sim.Cost.instr_ns *. fn);
   if detect_on t then begin
@@ -959,21 +942,14 @@ let grant_lock t ~lock ~requester ~requester_vc =
   in
   let intervals = unseen_intervals t ~upto ~requester_vc in
   (match t.rt.recorder with
-  | Some recorder ->
-      (* The recorder is shared and grants are issued from any node (lock
-         forwarding), so recording is deferred like the other observers.
-         Per-lock grant order is preserved: consecutive grants of one
-         lock are separated by at least a message latency, so the
-         (time, shard, emission) flush order cannot swap them. *)
-      Sim.Engine.defer t.rt.engine (fun () ->
-          Coherence.Sync_trace.record recorder ~lock ~grantee:requester)
+  | Some recorder -> Coherence.Sync_trace.record recorder ~lock ~grantee:requester
   | None -> ());
   send t ~dst:requester
     (Message.Lock_grant { lock; granter_vc = Proto.Vclock.copy upto; intervals })
 
 let lock t lock_id =
   flush_time t;
-  t.stats.Sim.Stats.lock_acquires <- t.stats.Sim.Stats.lock_acquires + 1;
+  t.rt.stats.Sim.Stats.lock_acquires <- t.rt.stats.Sim.Stats.lock_acquires + 1;
   let l = lock_state t lock_id in
   if l.held then invalid_arg "Node.lock: lock already held (not reentrant)";
   l.expecting <- true;
@@ -1140,8 +1116,8 @@ let master_finish_barrier t ~delay ~races =
   in
   t.rt.races := races @ !(t.rt.races);
   if tracing t then List.iter (fun r -> emit_sink t (Trace.Event.Race r)) races;
-  t.stats.Sim.Stats.races_reported <- t.stats.Sim.Stats.races_reported + List.length races;
-  t.stats.Sim.Stats.barriers <- t.stats.Sim.Stats.barriers + 1;
+  t.rt.stats.Sim.Stats.races_reported <- t.rt.stats.Sim.Stats.races_reported + List.length races;
+  t.rt.stats.Sim.Stats.barriers <- t.rt.stats.Sim.Stats.barriers + 1;
   List.iter
     (fun (node, vc, _) ->
       let intervals = closed_unseen t ~vc in
@@ -1155,7 +1131,7 @@ let master_finish_barrier t ~delay ~races =
 
 let master_run_detection t =
   let b = t.barrier in
-  let stats = t.stats in
+  let stats = t.rt.stats in
   let cost = t.rt.cost in
   let epoch_intervals =
     List.concat_map (fun (_, _, intervals) -> intervals) b.arrivals
@@ -1230,7 +1206,7 @@ let master_on_bitmap_reply t ~bitmaps =
     bitmaps;
   b.expected_replies <- b.expected_replies - 1;
   if b.expected_replies = 0 then begin
-    let stats = t.stats in
+    let stats = t.rt.stats in
     let source id ~page =
       match Hashtbl.find_opt b.collected (id, page) with
       | Some pair -> pair
@@ -1308,8 +1284,8 @@ let gc_diffs t =
             t.diff_store []
         in
         List.iter (Hashtbl.remove t.diff_store) doomed;
-        t.stats.Sim.Stats.diffs_gced <-
-          t.stats.Sim.Stats.diffs_gced + List.length doomed
+        t.rt.stats.Sim.Stats.diffs_gced <-
+          t.rt.stats.Sim.Stats.diffs_gced + List.length doomed
       end;
       if t.epoch mod k = 0 && t.rt.cfg.Config.protocol = Config.Multi_writer then begin
         Array.iteri
@@ -1586,9 +1562,6 @@ let create rt ~id ~nprocs =
   let t =
     {
       rt;
-      stats = rt.node_stats.(id);
-      trace_buf = rt.node_trace.(id);
-      timed_buf = rt.node_timed.(id);
       id;
       nprocs;
       vc;

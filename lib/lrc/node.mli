@@ -28,14 +28,6 @@ type runtime = {
       (** same events with simulated timestamps, for timeline rendering *)
   recorder : Coherence.Sync_trace.recorder option;
   symtab : Mem.Symtab.t;  (** names for shared allocations (section 6.1) *)
-  node_stats : Sim.Stats.t array;
-      (** per-node counters, indexed by processor id. Legacy engine: every
-          cell aliases [stats], so charging "this node's" record is
-          charging the shared one. Sharded engine: distinct records, one
-          per shard, folded into [stats] by the cluster after the run. *)
-  node_trace : (int * Racedetect.Oracle.event) list ref array;
-      (** per-node oracle event logs, aliased/merged like [node_stats] *)
-  node_timed : (int * int * Racedetect.Oracle.event) list ref array;
 }
 
 val create : runtime -> id:int -> nprocs:int -> t

@@ -33,18 +33,12 @@ type 'msg t = {
   engine : Engine.t;
   cost : Cost.t;
   stats : Stats.t;
-  stats_of : int -> Stats.t;  (* counters to charge for a given sender *)
   nodes : 'msg node array;
   size_of : 'msg -> int;
   describe : 'msg -> string;  (* payload tag for the probe's send/deliver events *)
   rng : Rng.t;  (* jitter stream — independent from the fault streams *)
   last_delivery : int array;  (* per (src, dst) link: preserve FIFO under jitter *)
-  (* Per-link frame accounting, split by writer so the sharded engine's
-     source (increments at schedule) and destination (increments at
-     delivery) shards never write the same cell: in flight = sent -
-     delivered. *)
-  sent : int array;
-  delivered : int array;
+  in_flight : int array;  (* per link: wire frames scheduled, not yet delivered *)
   fault : Fault.t option;
   probe : Probe.t option;  (* pure observer; never perturbs delivery *)
   partition_down : bool array;  (* last observed phase of each partition window *)
@@ -53,11 +47,7 @@ type 'msg t = {
 
 let node_count t = Array.length t.nodes
 
-(* Probe consumers (trace sinks) are shared across nodes; route through
-   the engine's observer deferral so sharded windows emit them at the
-   barrier in canonical order. In legacy mode [defer] runs immediately. *)
-let emit_probe t event =
-  match t.probe with Some f -> Engine.defer t.engine (fun () -> f event) | None -> ()
+let emit_probe t event = match t.probe with Some f -> f event | None -> ()
 
 (* Partition windows have no event of their own on the wire; report each
    open/close transition at the first wire activity that observes it.
@@ -98,21 +88,15 @@ let base_delay t ~bytes =
 
 let link_of t ~src ~dst = (src * Array.length t.nodes) + dst
 
-(* Reliable delivery with the per-link FIFO clamp (seed behaviour).
-   [last_delivery] and [sent] are written only by the source node's
-   shard (every send on link (src, dst) originates at src); [delivered]
-   only by the destination's (the delivery thunk runs on dst). The
-   delivery time is [>= now + message latency], which is the sharded
-   engine's lookahead bound, and the FIFO clamp only increases it — so
-   cross-shard deliveries always respect the window contract. *)
+(* Reliable delivery with the per-link FIFO clamp (seed behaviour). *)
 let deliver_ordered t ~src ~dst ~delay msg =
   let link = link_of t ~src ~dst in
   let at = max (Engine.now t.engine + delay) (t.last_delivery.(link) + 1) in
   t.last_delivery.(link) <- at;
-  t.sent.(link) <- t.sent.(link) + 1;
+  t.in_flight.(link) <- t.in_flight.(link) + 1;
   let node = t.nodes.(dst) in
-  Engine.schedule_node t.engine ~node:dst ~at (fun () ->
-      t.delivered.(link) <- t.delivered.(link) + 1;
+  Engine.schedule t.engine ~at (fun () ->
+      t.in_flight.(link) <- t.in_flight.(link) - 1;
       emit_probe t
         (Probe.Deliver { src; dst; bytes = t.size_of msg; tag = t.describe msg });
       deliver t node msg)
@@ -120,25 +104,24 @@ let deliver_ordered t ~src ~dst ~delay msg =
 let send t ~src ~dst msg =
   if dst < 0 || dst >= Array.length t.nodes then invalid_arg "Net.send: bad destination";
   let bytes = t.size_of msg in
-  let stats = t.stats_of src in
   emit_probe t (Probe.Send { src; dst; bytes; tag = t.describe msg });
-  stats.Stats.messages <- stats.Stats.messages + 1;
+  t.stats.Stats.messages <- t.stats.Stats.messages + 1;
   if src = dst then begin
     (* loopback: protocol stack only — no wire, no faults, no transport *)
-    stats.Stats.fragments <- stats.Stats.fragments + Cost.fragments t.cost ~bytes;
-    stats.Stats.bytes <- stats.Stats.bytes + Cost.wire_bytes t.cost ~bytes;
+    t.stats.Stats.fragments <- t.stats.Stats.fragments + Cost.fragments t.cost ~bytes;
+    t.stats.Stats.bytes <- t.stats.Stats.bytes + Cost.wire_bytes t.cost ~bytes;
     deliver_ordered t ~src ~dst ~delay:t.cost.Cost.loopback_ns msg
   end
   else
     match t.transport with
     | Some transport -> Transport.send transport ~src ~dst msg
     | None ->
-        stats.Stats.fragments <- stats.Stats.fragments + Cost.fragments t.cost ~bytes;
-        stats.Stats.bytes <- stats.Stats.bytes + Cost.wire_bytes t.cost ~bytes;
+        t.stats.Stats.fragments <- t.stats.Stats.fragments + Cost.fragments t.cost ~bytes;
+        t.stats.Stats.bytes <- t.stats.Stats.bytes + Cost.wire_bytes t.cost ~bytes;
         deliver_ordered t ~src ~dst ~delay:(base_delay t ~bytes) msg
 
 let create ?(rng = Rng.create ~seed:0) ?(fault = Fault.none) ?fault_rng ?transport ?probe
-    ?(describe = fun _ -> "msg") ?stats_of engine cost stats ~nodes ~size_of =
+    ?(describe = fun _ -> "msg") engine cost stats ~nodes ~size_of =
   if Fault.active fault && transport = None then
     invalid_arg "Net.create: an active fault plan requires the reliable transport";
   let t =
@@ -146,13 +129,11 @@ let create ?(rng = Rng.create ~seed:0) ?(fault = Fault.none) ?fault_rng ?transpo
       engine;
       cost;
       stats;
-      stats_of = (match stats_of with Some f -> f | None -> fun _ -> stats);
       size_of;
       describe;
       rng;
       last_delivery = Array.make (nodes * nodes) 0;
-      sent = Array.make (nodes * nodes) 0;
-      delivered = Array.make (nodes * nodes) 0;
+      in_flight = Array.make (nodes * nodes) 0;
       fault =
         (if transport = None then None
          else
@@ -174,7 +155,6 @@ let create ?(rng = Rng.create ~seed:0) ?(fault = Fault.none) ?fault_rng ?transpo
          verdicts, unclamped delivery *)
       let wire_send ~src ~dst frame =
         let bytes = Transport.frame_bytes cfg ~payload_bytes frame in
-        let stats = t.stats_of src in
         stats.Stats.fragments <- stats.Stats.fragments + Cost.fragments cost ~bytes;
         stats.Stats.bytes <- stats.Stats.bytes + Cost.wire_bytes cost ~bytes;
         note_partitions t;
@@ -211,9 +191,9 @@ let create ?(rng = Rng.create ~seed:0) ?(fault = Fault.none) ?fault_rng ?transpo
         List.iter
           (fun extra ->
             let at = Engine.now engine + base_delay t ~bytes + extra in
-            t.sent.(link) <- t.sent.(link) + 1;
-            Engine.schedule_node engine ~node:dst ~at (fun () ->
-                t.delivered.(link) <- t.delivered.(link) + 1;
+            t.in_flight.(link) <- t.in_flight.(link) + 1;
+            Engine.schedule engine ~at (fun () ->
+                t.in_flight.(link) <- t.in_flight.(link) - 1;
                 match t.transport with
                 | Some tr -> Transport.wire_receive tr ~src ~dst frame
                 | None -> ()))
@@ -249,8 +229,7 @@ let diagnostics t =
   let wire_lines = ref [] in
   for src = n - 1 downto 0 do
     for dst = n - 1 downto 0 do
-      let link = link_of t ~src ~dst in
-      let inflight = t.sent.(link) - t.delivered.(link) in
+      let inflight = t.in_flight.(link_of t ~src ~dst) in
       if inflight > 0 then
         wire_lines :=
           Printf.sprintf "link %d->%d: %d frame(s) in flight on the wire" src dst inflight

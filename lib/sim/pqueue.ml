@@ -1,13 +1,8 @@
-(* Binary min-heap keyed by (time, node, seq). The key is a property of
-   the *event*, not of heap state at pop time: [time] is the simulated
-   instant, [node] is the simulated node the event belongs to, and [seq]
-   is the per-queue insertion rank. Events that tie on time order by
-   node, then by insertion — so a merged view of several queues (the
-   sharded engine) and a single global queue (the legacy engine, which
-   pushes everything with the default [node = 0]) both pop in an order
-   that does not depend on how execution was scheduled. *)
+(* Binary min-heap keyed by (time, seq). The sequence number makes pops
+   deterministic: events scheduled earlier win ties, which is what makes the
+   whole simulation reproducible run-to-run. *)
 
-type 'a entry = { time : int; node : int; seq : int; value : 'a }
+type 'a entry = { time : int; seq : int; value : 'a }
 
 type 'a t = {
   mutable data : 'a entry array;
@@ -21,7 +16,7 @@ type 'a t = {
    view at any type (it is never looked at). Without this, a popped
    entry stayed pinned in the vacated tail slot for the life of the
    queue — closures, messages and all. *)
-let nil : Obj.t entry = { time = min_int; node = min_int; seq = min_int; value = Obj.repr 0 }
+let nil : Obj.t entry = { time = min_int; seq = min_int; value = Obj.repr 0 }
 
 let nil_entry () : 'a entry = Obj.magic nil
 
@@ -31,9 +26,7 @@ let length t = t.size
 
 let is_empty t = t.size = 0
 
-let entry_before a b =
-  a.time < b.time
-  || (a.time = b.time && (a.node < b.node || (a.node = b.node && a.seq < b.seq)))
+let entry_before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 
 let grow t =
   let capacity = max 16 (2 * Array.length t.data) in
@@ -66,8 +59,8 @@ let rec sift_down t i =
     sift_down t !smallest
   end
 
-let push ?(node = 0) t ~time value =
-  let entry = { time; node; seq = t.next_seq; value } in
+let push t ~time value =
+  let entry = { time; seq = t.next_seq; value } in
   t.next_seq <- t.next_seq + 1;
   if t.size = Array.length t.data then grow t;
   t.data.(t.size) <- entry;

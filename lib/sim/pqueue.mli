@@ -1,13 +1,8 @@
 (** Deterministic binary min-heap of timed events.
 
-    Entries are ordered by the [(time, node, seq)] key: by [time] first,
-    then by the [node] the event belongs to, then by per-queue insertion
-    order. The key is a property of the event itself, not of heap state,
-    so a merged view over several per-node queues and a single global
-    queue that received the same events pop in the same order — this is
-    what makes the sharded engine's interleaving independent of how many
-    domains executed it. Legacy callers omit [node] (default [0]) and get
-    the historical time-then-insertion order unchanged. *)
+    Entries are ordered by [time]; ties break by insertion order, so a run
+    that schedules the same events in the same order always pops them in the
+    same order. *)
 
 type 'a t
 
@@ -15,9 +10,8 @@ val create : unit -> 'a t
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 
-val push : ?node:int -> 'a t -> time:int -> 'a -> unit
-(** [push ?node t ~time v] inserts [v] at simulated time [time]
-    (nanoseconds), tagged with [node] (default [0]) for tie-breaking. *)
+val push : 'a t -> time:int -> 'a -> unit
+(** [push t ~time v] inserts [v] at simulated time [time] (nanoseconds). *)
 
 val pop : 'a t -> (int * 'a) option
 (** Remove and return the earliest entry, or [None] when empty. The

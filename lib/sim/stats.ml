@@ -141,60 +141,6 @@ let charged t category = t.charges.(category_index category)
 
 let total_charged t = Array.fold_left ( +. ) 0.0 t.charges
 
-(* Accumulate [t] into [into], field by field. Used by the sharded runner
-   to fold per-node counters back into the run-wide record; summing after
-   the run gives the same totals as sharing one record during it. *)
-let add ~into t =
-  into.messages <- into.messages + t.messages;
-  into.fragments <- into.fragments + t.fragments;
-  into.bytes <- into.bytes + t.bytes;
-  into.read_notice_bytes <- into.read_notice_bytes + t.read_notice_bytes;
-  into.baseline_bytes <- into.baseline_bytes + t.baseline_bytes;
-  into.retransmits <- into.retransmits + t.retransmits;
-  into.rto_timeouts <- into.rto_timeouts + t.rto_timeouts;
-  into.dup_suppressed <- into.dup_suppressed + t.dup_suppressed;
-  into.frames_dropped <- into.frames_dropped + t.frames_dropped;
-  into.frames_duplicated <- into.frames_duplicated + t.frames_duplicated;
-  into.acks_sent <- into.acks_sent + t.acks_sent;
-  into.link_failures <- into.link_failures + t.link_failures;
-  into.read_faults <- into.read_faults + t.read_faults;
-  into.write_faults <- into.write_faults + t.write_faults;
-  into.diffs_created <- into.diffs_created + t.diffs_created;
-  into.diff_words <- into.diff_words + t.diff_words;
-  into.diffs_gced <- into.diffs_gced + t.diffs_gced;
-  into.pages_fetched <- into.pages_fetched + t.pages_fetched;
-  into.intervals_created <- into.intervals_created + t.intervals_created;
-  into.interval_comparisons <- into.interval_comparisons + t.interval_comparisons;
-  into.concurrent_pairs <- into.concurrent_pairs + t.concurrent_pairs;
-  into.overlapping_pairs <- into.overlapping_pairs + t.overlapping_pairs;
-  into.bitmaps_requested <- into.bitmaps_requested + t.bitmaps_requested;
-  into.bitmaps_total <- into.bitmaps_total + t.bitmaps_total;
-  into.bitmap_round_bytes <- into.bitmap_round_bytes + t.bitmap_round_bytes;
-  into.intervals_in_overlap <- into.intervals_in_overlap + t.intervals_in_overlap;
-  into.bitmap_comparisons <- into.bitmap_comparisons + t.bitmap_comparisons;
-  into.shared_reads <- into.shared_reads + t.shared_reads;
-  into.shared_writes <- into.shared_writes + t.shared_writes;
-  into.private_accesses <- into.private_accesses + t.private_accesses;
-  into.lock_acquires <- into.lock_acquires + t.lock_acquires;
-  into.barriers <- into.barriers + t.barriers;
-  into.races_reported <- into.races_reported + t.races_reported;
-  into.site_entries <- into.site_entries + t.site_entries;
-  into.elided_checks <- into.elided_checks + t.elided_checks;
-  into.bus_transactions <- into.bus_transactions + t.bus_transactions;
-  into.bus_reads <- into.bus_reads + t.bus_reads;
-  into.bus_read_x <- into.bus_read_x + t.bus_read_x;
-  into.bus_upgrades <- into.bus_upgrades + t.bus_upgrades;
-  into.bus_updates <- into.bus_updates + t.bus_updates;
-  into.bus_writebacks <- into.bus_writebacks + t.bus_writebacks;
-  into.bus_syncs <- into.bus_syncs + t.bus_syncs;
-  into.bus_words <- into.bus_words + t.bus_words;
-  into.cache_hits <- into.cache_hits + t.cache_hits;
-  into.cache_misses <- into.cache_misses + t.cache_misses;
-  into.cache_evictions <- into.cache_evictions + t.cache_evictions;
-  into.invalidations <- into.invalidations + t.invalidations;
-  into.updates_applied <- into.updates_applied + t.updates_applied;
-  Array.iteri (fun i c -> into.charges.(i) <- into.charges.(i) +. c) t.charges
-
 let shared_accesses t = t.shared_reads + t.shared_writes
 
 let instrumented_accesses t = shared_accesses t + t.private_accesses

@@ -77,12 +77,6 @@ val charge : t -> overhead_category -> float -> unit
 val charged : t -> overhead_category -> float
 val total_charged : t -> float
 
-val add : into:t -> t -> unit
-(** [add ~into t] accumulates every counter and charge of [t] into
-    [into]. The sharded runner gives each node a private record and folds
-    them into the run-wide one after the run; the totals equal what a
-    single shared record would have accumulated. *)
-
 val shared_accesses : t -> int
 val instrumented_accesses : t -> int
 

@@ -24,14 +24,11 @@
      snooping-bus backends need to reproduce a run, and the Bus event
      (tag 22). Older logs decode as backend "lrc" with the default
      geometry.
-   - v5: [m_sim_jobs], the engine-schedule marker: [Some 1] when the
-     recording ran on the window-sharded --sim-jobs engine (whose event
-     times differ from the legacy loop's), [None] for legacy-loop
-     recordings. The domain count itself is deliberately NOT recorded:
-     the sharded interleaving is identical for every count, and logs
-     recorded at any --sim-jobs N must stay byte-identical. Replay uses
-     the marker to pick the engine and runs one domain. Older logs
-     decode as [None]. *)
+   - v5: [m_sim_jobs], a schedule marker. Logs recorded by the sharded
+     engine, since removed, carry [Some 1]; every log written now
+     carries [None], so the layout is unchanged. Replay rejects a log
+     with the marker present (its event order is not the single loop's);
+     log-only reading still accepts it. Older logs decode as [None]. *)
 
 let magic = "CVMT"
 let version = 5
@@ -70,7 +67,7 @@ type meta = {
   m_cc_line_bytes : int;  (* cache geometry for the bus backends (v4+) *)
   m_cc_sets : int;
   m_cc_ways : int;
-  m_sim_jobs : int option;  (* sharded-engine schedule marker (v5+) *)
+  m_sim_jobs : int option;  (* removed sharded engine's schedule marker (v5+) *)
 }
 
 (* The transport defaults that were current while v1 was the format:

@@ -56,13 +56,10 @@ type meta = {
   m_cc_sets : int;
   m_cc_ways : int;
   m_sim_jobs : int option;
-      (** engine-schedule marker: [Some 1] for logs recorded on the
-          window-sharded [--sim-jobs] engine, [None] for legacy-loop
-          logs (and everything before v5). Never the domain count —
-          the sharded interleaving is domain-count-invariant, and
-          recording the count would break byte-identity of logs
-          across [--sim-jobs N]. Replay picks the engine from this
-          and runs one domain. *)
+      (** schedule marker: [Some 1] for logs recorded on the sharded
+          engine, since removed; [None] for every log written now (and
+          everything before v5). [Core.Trace_run.replay] rejects a log
+          carrying the marker; log-only reading accepts it. *)
 }
 
 val v1_transport_defaults : transport_meta

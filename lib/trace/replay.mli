@@ -49,5 +49,5 @@ val sim_time_of_log : Codec.decoded -> int option
 
 type tag_stats = { ts_tag : string; ts_count : int; ts_bytes : int }
 
-val stats_of_log : Codec.decoded -> tag_stats list
+val per_tag_stats : Codec.decoded -> tag_stats list
 (** Per-tag event counts and encoded payload bytes, largest first. *)

@@ -10,10 +10,9 @@ let contains haystack needle =
   go 0
 
 let entry ?(wall = 1.0) ?(races = 3) ?(checksum = 0xbeef) ?(sim = 5_000) ?(bytes = 4096)
-    ?(nprocs = 8) ?(backend = "lrc") ?(sim_jobs = 0) ?(extras = []) name =
+    ?(nprocs = 8) ?(backend = "lrc") ?(extras = []) name =
   {
-    Compare_core.key =
-      (name, "small", nprocs, true, false, "single-writer", backend, sim_jobs);
+    Compare_core.key = (name, "small", nprocs, true, false, "single-writer", backend);
     wall_s = wall;
     sim_time_ns = sim;
     races;
@@ -22,8 +21,8 @@ let entry ?(wall = 1.0) ?(races = 3) ?(checksum = 0xbeef) ?(sim = 5_000) ?(bytes
     extras;
   }
 
-let gate ?threshold_pct ?ignore_wall ?ignore_sim_jobs baseline current =
-  Compare_core.compare_runs ?threshold_pct ?ignore_wall ?ignore_sim_jobs ~baseline ~current ()
+let gate ?threshold_pct ?ignore_wall baseline current =
+  Compare_core.compare_runs ?threshold_pct ?ignore_wall ~baseline ~current ()
 
 let test_identical_passes () =
   let run = [ entry "sor"; entry "fft" ] in
@@ -147,58 +146,8 @@ let test_backend_absent_defaults_lrc () =
       ]
   in
   let e = Compare_core.entry_of_json json in
-  let _, _, _, _, _, _, backend, sim_jobs = e.Compare_core.key in
-  check Alcotest.string "absent backend field reads as lrc" "lrc" backend;
-  check Alcotest.int "absent sim_jobs field reads as sequential" 0 sim_jobs
-
-let test_sim_jobs_in_key () =
-  (* a --sim-jobs run uses the window-sharded engine, whose simulated
-     time legitimately differs from the legacy loop's: it must never
-     gate against a sequential baseline, only against one recorded with
-     the same --sim-jobs *)
-  let baseline = [ entry ~sim_jobs:0 "sor" ] in
-  let current = [ entry ~sim_jobs:2 ~sim:5_500 "sor" ] in
-  let r = gate baseline current in
-  check Alcotest.int "sharded vs sequential never match" 0 r.Compare_core.compared;
-  let r' = gate [ entry ~sim_jobs:2 "sor" ] [ entry ~sim_jobs:2 "sor" ] in
-  check Alcotest.bool "same sim_jobs compares" true (Compare_core.passed r');
-  (* a null sim_jobs in the JSON folds to 0, same as absent *)
-  let null_jobs =
-    Compare_core.entry_of_json
-      (Bench_json.Obj
-         [
-           ("app", Bench_json.String "sor");
-           ("scale", Bench_json.String "small");
-           ("nprocs", Bench_json.Int 8);
-           ("detect", Bench_json.Bool true);
-           ("elide", Bench_json.Bool false);
-           ("protocol", Bench_json.String "single-writer");
-           ("backend", Bench_json.String "lrc");
-           ("sim_jobs", Bench_json.Null);
-           ("wall_s", Bench_json.Float 1.0);
-           ("sim_time_ns", Bench_json.Int 5000);
-           ("races", Bench_json.Int 3);
-           ("mem_checksum", Bench_json.Int 48879);
-           ("bytes", Bench_json.Int 4096);
-         ])
-  in
-  check Alcotest.bool "null sim_jobs matches a sequential entry" true
-    (Compare_core.passed (gate ~ignore_wall:true [ entry "sor" ] [ null_jobs ]))
-
-let test_ignore_sim_jobs () =
-  (* the CI smoke asserts the --sim-jobs contract itself: a sharded run
-     at 2 domains gated against the same run at 1 domain. The key
-     component must be erasable for that comparison to exist at all,
-     and deterministic drift must still fail through it. *)
-  let baseline = [ entry ~sim_jobs:1 "water" ] in
-  let current = [ entry ~sim_jobs:2 ~wall:3.0 "water" ] in
-  let r = gate ~ignore_wall:true ~ignore_sim_jobs:true baseline current in
-  check Alcotest.bool "--ignore-sim-jobs compares across domain counts" true
-    (Compare_core.passed r);
-  check Alcotest.int "the pair compared" 1 r.Compare_core.compared;
-  let drifted = [ entry ~sim_jobs:2 ~checksum:0xdead "water" ] in
-  check Alcotest.bool "checksum drift still fails across the erased key" false
-    (Compare_core.passed (gate ~ignore_wall:true ~ignore_sim_jobs:true baseline drifted))
+  let _, _, _, _, _, _, backend = e.Compare_core.key in
+  check Alcotest.string "absent backend field reads as lrc" "lrc" backend
 
 (* The PR 8 back-compat contract, end to end: a pre-v8 baseline entry
    (no "backend" field, no bus counters) must gate cleanly against a
@@ -323,9 +272,6 @@ let suite =
         Alcotest.test_case "extras compared only when shared" `Quick
           test_extras_compared_only_when_shared;
         Alcotest.test_case "backend part of the key" `Quick test_backend_in_key;
-        Alcotest.test_case "sim_jobs part of the key" `Quick test_sim_jobs_in_key;
-        Alcotest.test_case "--ignore-sim-jobs erases the key component" `Quick
-          test_ignore_sim_jobs;
         Alcotest.test_case "absent backend defaults to lrc" `Quick
           test_backend_absent_defaults_lrc;
         Alcotest.test_case "pre-v8 baseline gates current lrc entry" `Quick

@@ -123,79 +123,6 @@ let test_gc_matches_golden ~checksum label () =
       expected.Equiv_combos.mem_checksum actual.Equiv_combos.mem_checksum
 
 (* ------------------------------------------------------------------ *)
-(* The --sim-jobs axis: the window-sharded engine's contract is that
-   the outcome — race set, checksum, simulated time, wire totals, and
-   the recorded trace byte-for-byte — is identical for every domain
-   count. The anchor is the same combo at sim_jobs = 1 (one domain,
-   same windowed engine), NOT the golden: window barriers quantize
-   event times differently from the legacy single-heap loop, so the
-   sharded engine is its own baseline. The sample below is one combo
-   per family among the sharding-eligible ones (no reliable transport,
-   zero jitter — the faulty/transport families are exactly the ones the
-   degradation ladder excludes). *)
-
-let sim_jobs_sample =
-  [ "fft-sw-p4"; "sor-mw-p8"; "water-hb-p4"; "water-mw-diffs-p4"; "tsp-first-race-p4" ]
-
-let with_sim_jobs (combo : Equiv_combos.combo) jobs =
-  {
-    combo with
-    Equiv_combos.cfg =
-      { combo.Equiv_combos.cfg with Lrc.Config.sim_jobs = Some jobs };
-  }
-
-let test_sim_jobs_outcome_invariant label () =
-  let combo =
-    match Equiv_combos.find label with
-    | Some c -> c
-    | None -> Alcotest.fail (Printf.sprintf "no combo labelled %S" label)
-  in
-  let anchor = Equiv_combos.run (with_sim_jobs combo 1) in
-  List.iter
-    (fun jobs ->
-      check result_t
-        (Printf.sprintf "%s: sim-jobs %d = sim-jobs 1" label jobs)
-        anchor
-        (Equiv_combos.run (with_sim_jobs combo jobs)))
-    [ 2; 4 ]
-
-let test_sim_jobs_trace_identical () =
-  (* recorded .cvmt logs must agree byte-for-byte across domain counts:
-     not just the same outcome, the same event stream at the same
-     times in the same order *)
-  let record jobs =
-    let cfg = { Lrc.Config.default with Lrc.Config.sim_jobs = Some jobs } in
-    snd
-      (Core.Trace_run.record ~cfg ~app_name:"water" ~scale:Apps.Registry.Small ~nprocs:4
-         ())
-  in
-  let log1 = record 1 in
-  check Alcotest.bool "sim-jobs 2 records the identical log" true (record 2 = log1);
-  check Alcotest.bool "sim-jobs 4 records the identical log" true (record 4 = log1)
-
-let test_sim_jobs_record_then_replay () =
-  (* a log recorded at sim-jobs 4 must replay clean: replay rebuilds
-     the cluster from the metadata and runs it sequentially (one
-     domain, same windowed engine) *)
-  let cfg = { Lrc.Config.default with Lrc.Config.sim_jobs = Some 4 } in
-  let _, log =
-    Core.Trace_run.record ~cfg ~app_name:"sor" ~scale:Apps.Registry.Small ~nprocs:4 ()
-  in
-  let result = Core.Trace_run.replay log in
-  check
-    (Alcotest.option Alcotest.int)
-    "the log carries the sharded-engine marker" (Some 1)
-    result.Core.Trace_run.rr_meta.Trace.Codec.m_sim_jobs;
-  (match result.Core.Trace_run.rr_divergence with
-  | None -> ()
-  | Some d ->
-      Alcotest.fail
-        (Format.asprintf "sim-jobs 4 recording diverged on replay: %a"
-           Trace.Replay.pp_divergence d));
-  check Alcotest.bool "races match" true result.Core.Trace_run.rr_races_match;
-  check Alcotest.bool "checksum matches" true result.Core.Trace_run.rr_checksum_match
-
-(* ------------------------------------------------------------------ *)
 (* Cross-version replay: logs recorded by the pre-optimization build    *)
 
 let test_pre_opt_replay log () =
@@ -228,17 +155,6 @@ let suite =
             (* lock-order-sensitive float accumulation: race set only *)
             ("water-mw-p8", false);
           ]
-      @ List.map
-          (fun label ->
-            Alcotest.test_case ("sim-jobs axis " ^ label) `Quick
-              (test_sim_jobs_outcome_invariant label))
-          sim_jobs_sample
-      @ [
-          Alcotest.test_case "sim-jobs trace byte-identical" `Quick
-            test_sim_jobs_trace_identical;
-          Alcotest.test_case "sim-jobs record then sequential replay" `Quick
-            test_sim_jobs_record_then_replay;
-        ]
       @ List.map
           (fun log ->
             Alcotest.test_case ("cross-version replay " ^ log) `Quick

@@ -51,22 +51,6 @@ let prop_pqueue_sorted =
       in
       popped = sorted)
 
-let test_pqueue_node_tie_break () =
-  (* the full (time, node, seq) key: same time orders by node first,
-     then per-queue insertion order within a node *)
-  let q = Sim.Pqueue.create () in
-  Sim.Pqueue.push ~node:2 q ~time:5 "n2";
-  Sim.Pqueue.push ~node:0 q ~time:5 "n0";
-  Sim.Pqueue.push ~node:1 q ~time:5 "n1a";
-  Sim.Pqueue.push ~node:1 q ~time:5 "n1b";
-  Sim.Pqueue.push ~node:3 q ~time:4 "early";
-  let popped = List.init 5 (fun _ -> snd (Option.get (Sim.Pqueue.pop q))) in
-  check
-    (Alcotest.list Alcotest.string)
-    "time, then node, then insertion"
-    [ "early"; "n0"; "n1a"; "n1b"; "n2" ]
-    popped
-
 let test_pqueue_pop_clears_slot () =
   (* the vacated heap slot must not keep the popped value alive: a
      long-running engine pops millions of events whose payloads close
@@ -271,120 +255,6 @@ let test_engine_schedule_thunk () =
   Sim.Engine.run engine;
   check Alcotest.int "thunk time" 77 !fired
 
-(* A small sharded workload exercising every cross-shard path: local
-   advances, deferred observers, and cross-shard events at the
-   lookahead bound. The observation log must be identical for any
-   number of executing domains — that is the sharded engine's whole
-   contract. *)
-let sharded_observations jobs =
-  let shards = 4 and lookahead = 100 in
-  let engine = Sim.Engine.create () in
-  Sim.Engine.set_sharded engine ~shards ~shard_of_pid:Fun.id ~lookahead;
-  let log = ref [] in
-  let note tag pid =
-    Sim.Engine.defer engine (fun () ->
-        log := (Sim.Engine.now engine, tag, pid) :: !log)
-  in
-  for p = 0 to shards - 1 do
-    ignore
-      (Sim.Engine.spawn engine (fun pid ->
-           for k = 1 to 5 do
-             Sim.Engine.advance ((10 * (pid + 1)) + k);
-             note k pid;
-             Sim.Engine.schedule_node engine
-               ~node:((pid + 1) mod shards)
-               ~at:(Sim.Engine.now engine + lookahead + k)
-               (fun () -> note (100 + k) pid)
-           done));
-    ignore p
-  done;
-  (match jobs with
-  | 1 -> Sim.Engine.run engine
-  | jobs ->
-      Parallel.Gang.with_gang ~jobs (fun gang ->
-          Sim.Engine.set_batch_runner engine (Some (Parallel.Gang.run gang));
-          Sim.Engine.run engine));
-  List.rev !log
-
-let test_engine_sharded_domain_count_invariant () =
-  let obs = Alcotest.list (Alcotest.triple Alcotest.int Alcotest.int Alcotest.int) in
-  let sequential = sharded_observations 1 in
-  check Alcotest.int "the workload observed something" 40 (List.length sequential);
-  check obs "2 domains, same observations" sequential (sharded_observations 2);
-  check obs "3 domains, same observations" sequential (sharded_observations 3)
-
-let test_engine_sharded_lookahead_enforced () =
-  let engine = Sim.Engine.create () in
-  Sim.Engine.set_sharded engine ~shards:2 ~shard_of_pid:Fun.id ~lookahead:100;
-  ignore
-    (Sim.Engine.spawn engine (fun _ ->
-         Sim.Engine.advance 10;
-         (* a cross-shard event below the lookahead floor: the barrier
-            must reject it rather than silently break determinism *)
-         Sim.Engine.schedule_node engine ~node:1 ~at:(Sim.Engine.now engine + 50)
-           (fun () -> ())));
-  ignore (Sim.Engine.spawn engine (fun _ -> Sim.Engine.advance 1));
-  match Sim.Engine.run engine with
-  | () -> Alcotest.fail "lookahead violation not detected"
-  | exception Invalid_argument _ -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Gang                                                                *)
-
-let test_gang_runs_every_round () =
-  Parallel.Gang.with_gang ~jobs:2 (fun gang ->
-      let counter = Atomic.make 0 in
-      for _ = 1 to 500 do
-        Parallel.Gang.run gang
-          (List.init 8 (fun i -> (i, fun () -> ignore (Atomic.fetch_and_add counter 1))))
-      done;
-      check Alcotest.int "every thunk of every round ran" 4000 (Atomic.get counter))
-
-let test_gang_static_placement () =
-  Parallel.Gang.with_gang ~jobs:2 (fun gang ->
-      check Alcotest.int "jobs" 2 (Parallel.Gang.jobs gang);
-      let homes = Array.make 4 [] in
-      for _round = 1 to 5 do
-        Parallel.Gang.run gang
-          (List.init 4 (fun i ->
-               (i, fun () -> homes.(i) <- (Domain.self () :> int) :: homes.(i))))
-      done;
-      let home i =
-        match homes.(i) with
-        | d :: rest ->
-            List.iter (check Alcotest.int "index stays on one domain" d) rest;
-            d
-        | [] -> Alcotest.failf "index %d never ran" i
-      in
-      check Alcotest.bool "indices 0 and 2 share slot 0" true (home 0 = home 2);
-      check Alcotest.bool "indices 1 and 3 share slot 1" true (home 1 = home 3);
-      check Alcotest.bool "the two slots are distinct domains" true (home 0 <> home 1))
-
-let test_gang_slot_order_and_errors () =
-  Parallel.Gang.with_gang ~jobs:2 (fun gang ->
-      (* indices 0/2/4 land on slot 0 (the submitting domain): same-slot
-         thunks must run in index order *)
-      let log = ref [] in
-      Parallel.Gang.run gang
-        [
-          (0, fun () -> log := 0 :: !log);
-          (2, fun () -> log := 2 :: !log);
-          (4, fun () -> log := 4 :: !log);
-        ];
-      check (Alcotest.list Alcotest.int) "same-slot thunks in index order" [ 0; 2; 4 ]
-        (List.rev !log);
-      (* a thunk failure surfaces after the round completes *)
-      let other_ran = ref false in
-      (match
-         Parallel.Gang.run gang
-           [ (0, fun () -> failwith "boom"); (1, fun () -> other_ran := true) ]
-       with
-      | () -> Alcotest.fail "thunk exception swallowed"
-      | exception Failure msg -> check Alcotest.string "failure re-raised" "boom" msg);
-      check Alcotest.bool "the round still completed" true !other_ran;
-      (* and the gang stays usable afterwards *)
-      Parallel.Gang.run gang [ (0, fun () -> ()); (1, fun () -> ()) ])
-
 (* ------------------------------------------------------------------ *)
 (* Net                                                                 *)
 
@@ -587,7 +457,6 @@ let suite =
         Alcotest.test_case "tie-break fifo" `Quick test_pqueue_tie_break;
         Alcotest.test_case "peek/length" `Quick test_pqueue_peek;
         QCheck_alcotest.to_alcotest prop_pqueue_sorted;
-        Alcotest.test_case "(time, node, seq) tie-break" `Quick test_pqueue_node_tie_break;
         Alcotest.test_case "pop clears the vacated slot" `Quick test_pqueue_pop_clears_slot;
       ] );
     ( "sim:rng",
@@ -610,16 +479,6 @@ let suite =
         Alcotest.test_case "growable proc table" `Quick test_engine_many_procs;
         Alcotest.test_case "exception propagates" `Quick test_engine_exception_propagates;
         Alcotest.test_case "scheduled thunk" `Quick test_engine_schedule_thunk;
-        Alcotest.test_case "sharded: domain-count invariant" `Quick
-          test_engine_sharded_domain_count_invariant;
-        Alcotest.test_case "sharded: lookahead enforced" `Quick
-          test_engine_sharded_lookahead_enforced;
-      ] );
-    ( "sim:gang",
-      [
-        Alcotest.test_case "every round's thunks run" `Quick test_gang_runs_every_round;
-        Alcotest.test_case "static placement" `Quick test_gang_static_placement;
-        Alcotest.test_case "slot order and errors" `Quick test_gang_slot_order_and_errors;
       ] );
     ( "sim:net",
       [

@@ -225,6 +225,35 @@ let test_truncated_live_stream_diverges () =
       check Alcotest.int "divergence at the first unmatched event" stop d.Trace.Replay.d_index;
       check Alcotest.bool "no actual event" true (d.Trace.Replay.d_actual = None)
 
+(* A log this build cannot re-execute is refused before anything runs,
+   with a Corrupt error naming the metadata field: an unknown app,
+   scale, protocol or backend, or the v5 schedule marker of the removed
+   sharded engine. The marker still decodes, so log-only reading works. *)
+let test_replay_rejects_unreplayable_meta () =
+  let _, log =
+    Core.Trace_run.record ~app_name:"sor" ~scale:Apps.Registry.Small ~nprocs:2 ()
+  in
+  let decoded = Trace.Codec.decode log in
+  let m = decoded.Trace.Codec.meta and events = decoded.Trace.Codec.events in
+  check (Alcotest.option Alcotest.int) "record writes no schedule marker" None
+    m.Trace.Codec.m_sim_jobs;
+  let rejected field meta =
+    match Core.Trace_run.replay (Trace.Codec.encode meta events) with
+    | _ -> Alcotest.failf "replay ran a log with a bad %s" field
+    | exception Trace.Codec.Corrupt msg ->
+        check Alcotest.bool (field ^ " named in the error") true
+          (Testutil.contains msg field)
+  in
+  rejected "m_app" { m with Trace.Codec.m_app = "sox" };
+  rejected "m_scale" { m with Trace.Codec.m_scale = "smoll" };
+  rejected "m_protocol" { m with Trace.Codec.m_protocol = "single-reader" };
+  rejected "m_backend" { m with Trace.Codec.m_backend = "msi" };
+  let sharded = { m with Trace.Codec.m_sim_jobs = Some 1 } in
+  rejected "m_sim_jobs" sharded;
+  let read_back = Trace.Codec.decode (Trace.Codec.encode sharded events) in
+  check Alcotest.bool "a marked log still reads log-only" true
+    (Trace.Replay.checksum_of_log read_back = Trace.Replay.checksum_of_log decoded)
+
 (* ------------------------------------------------------------------ *)
 (* Log-only reconstruction: race set and checksum without re-executing  *)
 
@@ -270,7 +299,7 @@ let test_log_only_reconstruction () =
     "sim time from log alone"
     (Some (Lrc.Cluster.sim_time cluster))
     (Trace.Replay.sim_time_of_log decoded);
-  let stats = Trace.Replay.stats_of_log decoded in
+  let stats = Trace.Replay.per_tag_stats decoded in
   let total = List.fold_left (fun acc s -> acc + s.Trace.Replay.ts_count) 0 stats in
   check Alcotest.int "stats cover every event" (Array.length decoded.Trace.Codec.events) total
 
@@ -487,6 +516,8 @@ let suite =
         Alcotest.test_case "v1 log decodes with frozen defaults" `Quick
           test_v1_log_decodes_with_frozen_defaults;
         Alcotest.test_case "version window messages" `Quick test_version_window_messages;
+        Alcotest.test_case "unreplayable metadata rejected" `Quick
+          test_replay_rejects_unreplayable_meta;
       ] );
     ( "trace:offline",
       [
