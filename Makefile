@@ -42,7 +42,12 @@ test:
 # reproduces it exactly. Finally, bad command lines must fail with a
 # usage error (Cmdliner's exit 124), not print a message and exit 0 or
 # crash with exit 125: an unknown experiment name for `cvm_race table`
-# and a non-positive processor count for `cvm_race run`.
+# and a non-positive processor count for `cvm_race run`. One paper-scale
+# run closes the gate: Water at 32 processors with detection, whose
+# simulated time and race count are diffed against their known values.
+# The small-scale runs above cannot show a host cost that grows with
+# processors times check-list entries; this run does (it took ~8 s when
+# the barrier master re-sorted its bitmap requests per processor).
 check:
 	dune build
 	dune runtest
@@ -72,6 +77,8 @@ check:
 	cmp test/golden/perf_equiv.json _build/perf_equiv_j4.json
 	dune exec bin/cvm_race.exe -- table bogus; test $$? -eq 124
 	dune exec bin/cvm_race.exe -- run sor --scale small -p 0; test $$? -eq 124
+	dune exec bin/cvm_race.exe -- run water -p 32 | sed -n 2,3p > _build/water_p32.txt
+	printf 'simulated time: 7955.454 ms\n7440 data race(s):\n' | diff - _build/water_p32.txt
 
 # The full drop-rate sweep over every application (slow; paper scale).
 faults:

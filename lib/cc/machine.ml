@@ -87,7 +87,7 @@ type t = {
   trace : (int * Racedetect.Oracle.event) list ref;
   timed : (int * int * Racedetect.Oracle.event) list ref;
   recorder : Coherence.Sync_trace.recorder option;
-  elide : (string, unit) Hashtbl.t;
+  elide : Coherence.Elide.t;
   mutable epoch : int;
   mutable barrier_arrivals : int list;  (* proc ids, arrival order reversed *)
   mutable barrier_intervals : Proto.Interval.t list;
@@ -223,8 +223,6 @@ let instrument m p page word kind =
   in
   Mem.Bitmap.set bitmap word
 
-let elided m site = Hashtbl.length m.elide > 0 && Hashtbl.mem m.elide site
-
 let observe p ~site ~addr kind =
   match p.access_observer with Some f -> f ~site ~addr kind | None -> ()
 
@@ -232,7 +230,7 @@ let read_note m p ~site addr page word =
   charge_local p m.cost.Sim.Cost.instr_ns;
   m.stats.Sim.Stats.shared_reads <- m.stats.Sim.Stats.shared_reads + 1;
   if detect_on m then
-    if elided m site then
+    if Coherence.Elide.mem m.elide site then
       m.stats.Sim.Stats.elided_checks <- m.stats.Sim.Stats.elided_checks + 1
     else instrument m p page word Proto.Race.Read;
   observe p ~site ~addr Proto.Race.Read;
@@ -242,7 +240,7 @@ let write_note m p ~site addr page word =
   charge_local p m.cost.Sim.Cost.instr_ns;
   m.stats.Sim.Stats.shared_writes <- m.stats.Sim.Stats.shared_writes + 1;
   if detect_on m then
-    if elided m site then
+    if Coherence.Elide.mem m.elide site then
       m.stats.Sim.Stats.elided_checks <- m.stats.Sim.Stats.elided_checks + 1
     else instrument m p page word Proto.Race.Write;
   observe p ~site ~addr Proto.Race.Write;
@@ -734,10 +732,7 @@ let create ?(cost = Sim.Cost.default) ?(cfg = Coherence.Config.default) ~protoco
     if cfg.Coherence.Config.record_sync then Some (Coherence.Sync_trace.new_recorder ())
     else None
   in
-  let elide = Hashtbl.create 64 in
-  (match cfg.Coherence.Config.elide_sites with
-  | Some sites -> List.iter (fun site -> Hashtbl.replace elide site ()) sites
-  | None -> ());
+  let elide = Coherence.Elide.create cfg.Coherence.Config.elide_sites in
   let probe =
     (* sim-level events for the record/replay sink; a bus machine has no
        network, so only the scheduling events can occur *)

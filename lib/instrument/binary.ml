@@ -8,7 +8,11 @@
    itself), and application-text [procs] — register-transfer CFGs
    ({!Ir}) whose computed addresses the data-flow analysis in
    {!Dataflow} classifies. Whether a computed access is private is
-   *derived* by that analysis; the image carries no oracle bit. *)
+   *derived* by that analysis; the image carries no oracle bit.
+
+   A flat section is a list of counted runs: [count] alike instructions
+   stand for themselves without being materialised, so a 129k-instruction
+   library costs a handful of records to build. *)
 
 type kind = Load | Store
 
@@ -22,14 +26,15 @@ type origin =
   | Library of string  (* libc, libm, ... *)
   | Cvm_runtime  (* the DSM library linked into the binary *)
 
-type instruction = {
+type run = {
   kind : kind;
   addressing : addressing;
   origin : origin;
   site : string;  (* symbolic "program counter": file:function#n *)
+  count : int;  (* alike instructions, sites named by [expand_sites] *)
 }
 
-type t = { name : string; sections : instruction list; procs : Ir.proc list }
+type t = { name : string; sections : run list; procs : Ir.proc list }
 
 (* Builders used by the applications' [binary] descriptions. *)
 
@@ -37,52 +42,12 @@ let make ~name ?(procs = []) sections =
   List.iter Ir.validate procs;
   { name; sections; procs }
 
-let repeat n f = List.init n f
-
-let bulk ~kind ~addressing ~origin ~prefix n =
-  repeat n (fun i -> { kind; addressing; origin; site = Printf.sprintf "%s#%d" prefix i })
-
 let section ~origin ~prefix ~loads ~stores =
   (* library/runtime sections: addressing is irrelevant to classification *)
-  bulk ~kind:Load ~addressing:Computed ~origin ~prefix:(prefix ^ ".ld") loads
-  @ bulk ~kind:Store ~addressing:Computed ~origin ~prefix:(prefix ^ ".st") stores
-
-(* Lowering: app-text procedures flatten to one instruction per static
-   access (counts expanded), keyed by the syntactic addressing mode. *)
+  let run kind suffix count =
+    { kind; addressing = Computed; origin; site = prefix ^ suffix; count }
+  in
+  List.filter (fun r -> r.count > 0) [ run Load ".ld" loads; run Store ".st" stores ]
 
 let expand_sites site count =
-  if count = 1 then [ site ] else repeat count (fun i -> Printf.sprintf "%s#%d" site i)
-
-let addressing_of_base = function
-  | Ir.Fp _ -> Frame_pointer
-  | Ir.Gp _ -> Global_pointer
-  | Ir.Reg _ -> Computed
-
-let lower_proc (proc : Ir.proc) =
-  List.concat_map
-    (fun (b : Ir.block) ->
-      List.concat_map
-        (fun (op : Ir.op) ->
-          match op with
-          | Ir.Load { base; count; site; _ } ->
-              List.map
-                (fun site ->
-                  { kind = Load; addressing = addressing_of_base base; origin = App_text; site })
-                (expand_sites site count)
-          | Ir.Store { base; count; site; _ } ->
-              List.map
-                (fun site ->
-                  { kind = Store; addressing = addressing_of_base base; origin = App_text; site })
-                (expand_sites site count)
-          | _ -> [])
-        b.Ir.ops)
-    proc.Ir.blocks
-
-let instructions t = t.sections @ List.concat_map lower_proc t.procs
-
-let instruction_count t =
-  List.length t.sections
-  + List.fold_left (fun acc p -> acc + Ir.access_count p) 0 t.procs
-
-let loads t = List.filter (fun i -> i.kind = Load) (instructions t)
-let stores t = List.filter (fun i -> i.kind = Store) (instructions t)
+  if count = 1 then [ site ] else List.init count (fun i -> Printf.sprintf "%s#%d" site i)

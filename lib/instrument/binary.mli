@@ -4,7 +4,11 @@
     classified by origin alone) and application-text [procs]:
     register-transfer CFGs whose computed addresses are classified by
     the data-flow analysis in {!Dataflow}. There is no oracle bit —
-    whether a computed access is private is derived, not asserted. *)
+    whether a computed access is private is derived, not asserted.
+
+    A flat section is a list of counted runs: one record stands for
+    [count] alike instructions whose sites {!expand_sites} names, so
+    building an image never materialises its library code. *)
 
 type kind = Load | Store
 
@@ -15,32 +19,24 @@ type addressing =
 
 type origin = App_text | Library of string | Cvm_runtime
 
-type instruction = {
+type run = {
   kind : kind;
   addressing : addressing;
   origin : origin;
   site : string;  (** symbolic program counter, e.g. "file:function#n" *)
+  count : int;  (** alike instructions in the run *)
 }
 
-type t = { name : string; sections : instruction list; procs : Ir.proc list }
+type t = { name : string; sections : run list; procs : Ir.proc list }
 
-val make : name:string -> ?procs:Ir.proc list -> instruction list -> t
+val make : name:string -> ?procs:Ir.proc list -> run list -> t
 (** Validates every procedure's CFG. *)
 
-val bulk : kind:kind -> addressing:addressing -> origin:origin -> prefix:string -> int -> instruction list
-(** [bulk ~kind ~addressing ~origin ~prefix n] makes [n] alike
-    instructions with distinct sites. *)
+val section : origin:origin -> prefix:string -> loads:int -> stores:int -> run list
+(** A library or runtime section (addressing irrelevant to elimination):
+    a [prefix ^ ".ld"] load run and a [prefix ^ ".st"] store run, each
+    left out when its count is 0. *)
 
-val section : origin:origin -> prefix:string -> loads:int -> stores:int -> instruction list
-(** A library or runtime section (addressing irrelevant to elimination). *)
-
-val lower_proc : Ir.proc -> instruction list
-(** One instruction per static access, counts expanded, in program
-    order; addressing is the access's syntactic base. *)
-
-val instructions : t -> instruction list
-(** Sections followed by every procedure's lowered accesses. *)
-
-val instruction_count : t -> int
-val loads : t -> instruction list
-val stores : t -> instruction list
+val expand_sites : string -> int -> string list
+(** [expand_sites site count]: the sites of [count] alike instructions —
+    [[site]] when [count = 1], otherwise [site#0] … [site#(count-1)]. *)

@@ -57,10 +57,10 @@ let batched_check_cost = 0.25
 (* a batched access still sets its bitmap bit but skips the page lookup;
    calibrated share of the full 200 ns discrimination *)
 
-(* Flat section instructions carry no CFG, so a computed access there
-   can never be proven private. *)
-let classify_section_instruction (i : Binary.instruction) =
-  match (i.origin, i.addressing) with
+(* Flat section runs carry no CFG, so a computed access there can never
+   be proven private. *)
+let classify_section_run (r : Binary.run) =
+  match (r.origin, r.addressing) with
   | Binary.Library _, _ -> `Library
   | Binary.Cvm_runtime, _ -> `Cvm
   | Binary.App_text, Binary.Frame_pointer -> `Stack
@@ -154,11 +154,13 @@ let lint_warnings accesses =
 let analyze ?(page_size = 4096) (binary : Binary.t) =
   let c = ref empty in
   let sites = ref [] in
+  (* [sites] is built in reverse; only instrumented runs are expanded *)
+  let add_sites site count = sites := List.rev_append (Binary.expand_sites site count) !sites in
   List.iter
-    (fun (i : Binary.instruction) ->
-      let bucket = classify_section_instruction i in
-      c := bump !c 1 bucket;
-      if bucket = `Instrumented then sites := i.Binary.site :: !sites)
+    (fun (r : Binary.run) ->
+      let bucket = classify_section_run r in
+      c := bump !c r.Binary.count bucket;
+      if bucket = `Instrumented then add_sites r.Binary.site r.Binary.count)
     binary.Binary.sections;
   let batched = ref 0 in
   let warnings = ref [] in
@@ -176,11 +178,7 @@ let analyze ?(page_size = 4096) (binary : Binary.t) =
           | _ -> ());
           if bucket = `Instrumented then begin
             batched := !batched + a.Dataflow.a_batched;
-            if a.Dataflow.a_count = 1 then sites := a.Dataflow.a_site :: !sites
-            else
-              for k = a.Dataflow.a_count - 1 downto 0 do
-                sites := Printf.sprintf "%s#%d" a.Dataflow.a_site k :: !sites
-              done
+            add_sites a.Dataflow.a_site a.Dataflow.a_count
           end)
         accesses;
       warnings := !warnings @ lint_warnings accesses)

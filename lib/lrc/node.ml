@@ -130,7 +130,7 @@ type t = {
   site_store : (Proto.Interval.id * int * int * Proto.Race.access_kind, string) Hashtbl.t;
   (* statically race-free sites whose runtime check is elided (the MHP
      analysis' complement set); empty when elision is off *)
-  elide : (string, unit) Hashtbl.t;
+  elide : Coherence.Elide.t;
   mutable replies : Message.t list;  (* replies awaited by the app coroutine *)
   debt : float array;
       (* accumulated local compute time not yet advanced; a 1-element float
@@ -744,13 +744,11 @@ let observe t ~site ~addr kind =
    instruction charge, the statistics, the watch-mode observation and
    the oracle trace — so elision changes cost and bitmaps only, never
    what the oracle or a watch run can see. *)
-let elided t site = Hashtbl.length t.elide > 0 && Hashtbl.mem t.elide site
-
 let read_note t ~site addr page word =
   charge_local t t.rt.cost.Sim.Cost.instr_ns;
   t.rt.stats.Sim.Stats.shared_reads <- t.rt.stats.Sim.Stats.shared_reads + 1;
   if detect_on t then
-    if elided t site then
+    if Coherence.Elide.mem t.elide site then
       t.rt.stats.Sim.Stats.elided_checks <- t.rt.stats.Sim.Stats.elided_checks + 1
     else instrument_access t page word Proto.Race.Read ~site;
   observe t ~site ~addr Proto.Race.Read;
@@ -760,7 +758,7 @@ let write_note t ~site addr page word =
   charge_local t t.rt.cost.Sim.Cost.instr_ns;
   t.rt.stats.Sim.Stats.shared_writes <- t.rt.stats.Sim.Stats.shared_writes + 1;
   if detect_on t && not (stores_from_diffs t) then
-    if elided t site then
+    if Coherence.Elide.mem t.elide site then
       t.rt.stats.Sim.Stats.elided_checks <- t.rt.stats.Sim.Stats.elided_checks + 1
     else instrument_access t page word Proto.Race.Write ~site;
   observe t ~site ~addr Proto.Race.Write;
@@ -1160,20 +1158,16 @@ let master_run_detection t =
     b.pending_checks <- entries;
     b.check_bytes <- Racedetect.Checklist.size_bytes entries;
     Hashtbl.reset b.collected;
-    let procs_with_requests =
-      List.init t.nprocs Fun.id
-      |> List.filter_map (fun proc ->
-             match Racedetect.Checklist.requests_for_proc entries ~proc with
-             | [] -> None
-             | requests -> Some (proc, requests))
-    in
-    b.expected_replies <- List.length procs_with_requests;
-    List.iter
-      (fun (proc, requests) ->
-        stats.Sim.Stats.bitmaps_requested <-
-          stats.Sim.Stats.bitmaps_requested + List.length requests;
-        send_after t ~delay ~dst:proc (Message.Bitmap_req { requests }))
-      procs_with_requests
+    let by_proc = Racedetect.Checklist.requests_by_proc entries ~nprocs:t.nprocs in
+    b.expected_replies <- Array.fold_left (fun n r -> if r = [] then n else n + 1) 0 by_proc;
+    Array.iteri
+      (fun proc requests ->
+        if requests <> [] then begin
+          stats.Sim.Stats.bitmaps_requested <-
+            stats.Sim.Stats.bitmaps_requested + List.length requests;
+          send_after t ~delay ~dst:proc (Message.Bitmap_req { requests })
+        end)
+      by_proc
   end
 
 let master_on_arrive t ~from_ ~vc ~intervals =
@@ -1590,12 +1584,7 @@ let create rt ~id ~nprocs =
       g_word_mask = word_size - 1;
       cur_sites = Hashtbl.create 64;
       site_store = Hashtbl.create 256;
-      elide =
-        (let table = Hashtbl.create 8 in
-         (match rt.cfg.Config.elide_sites with
-         | Some sites -> List.iter (fun s -> Hashtbl.replace table s ()) sites
-         | None -> ());
-         table);
+      elide = Coherence.Elide.create rt.cfg.Config.elide_sites;
       replies = [];
       debt = Array.make 1 0.0;
       alloc_next = geometry.Mem.Geometry.base;

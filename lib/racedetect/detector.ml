@@ -109,7 +109,7 @@ let concurrent_check_list ?stats ?probe intervals =
       s.Sim.Stats.overlapping_pairs <- s.Sim.Stats.overlapping_pairs + List.length entries;
       let involved =
         List.concat_map (fun (e : Checklist.entry) -> [ e.a; e.b ]) entries
-        |> List.sort_uniq compare
+        |> List.sort_uniq Proto.Interval.compare_ids
       in
       s.Sim.Stats.intervals_in_overlap <- s.Sim.Stats.intervals_in_overlap + List.length involved
   | None -> ());
@@ -156,7 +156,7 @@ let check_list ?stats ?probe pairs =
       s.Sim.Stats.overlapping_pairs <- s.Sim.Stats.overlapping_pairs + List.length entries;
       let involved =
         List.concat_map (fun (e : Checklist.entry) -> [ e.a; e.b ]) entries
-        |> List.sort_uniq compare
+        |> List.sort_uniq Proto.Interval.compare_ids
       in
       s.Sim.Stats.intervals_in_overlap <- s.Sim.Stats.intervals_in_overlap + List.length involved
   | None -> ());

@@ -121,7 +121,7 @@ let test_bitmap_requests_dedup () =
   in
   let requests = Racedetect.Checklist.bitmap_requests entries in
   check Alcotest.int "deduplicated" 5 (List.length requests);
-  let p0 = Racedetect.Checklist.requests_for_proc entries ~proc:0 in
+  let p0 = (Racedetect.Checklist.requests_by_proc entries ~nprocs:3).(0) in
   check Alcotest.int "proc 0 owns 2 bitmaps" 2 (List.length p0)
 
 let test_first_races () =
@@ -285,6 +285,60 @@ let prop_fused_check_list =
       && !fused_seen = !unfused_seen
       && detector_counters fused_stats = detector_counters unfused_stats)
 
+(* The barrier master sends processor [p] the slot [p] of
+   [requests_by_proc]; it must be exactly the filter of the sorted,
+   deduplicated request list it replaced. Small id and page ranges make
+   duplicate (interval, page) pairs common, and ids only reach proc 3 of
+   up to 6 processors, so some processors never own a request. *)
+
+let gen_checklist =
+  let open QCheck.Gen in
+  let id = map2 (fun proc index -> { Proto.Interval.proc; index }) (int_bound 3) (int_bound 3) in
+  let entry =
+    map3
+      (fun a b pages -> { Racedetect.Checklist.a; b; pages })
+      id id
+      (list_size (int_bound 3) (int_bound 4))
+  in
+  pair (int_range 4 6) (list_size (int_bound 8) entry)
+
+let print_checklist (nprocs, entries) =
+  Printf.sprintf "nprocs=%d %s" nprocs
+    (String.concat " "
+       (List.map (Format.asprintf "%a" Racedetect.Checklist.pp) entries))
+
+let prop_requests_by_proc =
+  QCheck.Test.make ~name:"requests_by_proc = bitmap_requests filtered per proc" ~count:500
+    (QCheck.make ~print:print_checklist gen_checklist)
+    (fun (nprocs, entries) ->
+      let by_proc = Racedetect.Checklist.requests_by_proc entries ~nprocs in
+      let all = Racedetect.Checklist.bitmap_requests entries in
+      let procs =
+        List.concat_map (fun (e : Racedetect.Checklist.entry) -> [ e.a.proc; e.b.proc ]) entries
+      in
+      Array.length by_proc = nprocs
+      && List.for_all
+           (fun p ->
+             by_proc.(p)
+             = List.filter (fun ((id : Proto.Interval.id), _) -> id.proc = p) all
+             && (List.mem p procs || by_proc.(p) = []))
+           (List.init nprocs Fun.id))
+
+let prop_compare_request =
+  QCheck.Test.make ~name:"compare_request orders (id, page) as compare does" ~count:1000
+    QCheck.(pair (triple int int int) (triple small_signed_int small_signed_int small_signed_int))
+    (fun ((p1, i1, g1), (p2, i2, g2)) ->
+      let sign x = Int.compare x 0 in
+      let check x y =
+        sign (Racedetect.Checklist.compare_request x y) = sign (compare x y)
+      in
+      let x = ({ Proto.Interval.proc = p1; index = i1 }, g1)
+      and y = ({ Proto.Interval.proc = p2; index = i2 }, g2) in
+      (* raw ints rarely tie, so also compare pairs sharing a prefix *)
+      let y' = ({ Proto.Interval.proc = p1; index = i2 }, g2)
+      and y'' = ({ Proto.Interval.proc = p1; index = i1 }, g2) in
+      check x y && check x y' && check x y'' && check x x)
+
 let suite =
   [
     ( "detector",
@@ -298,6 +352,8 @@ let suite =
         Alcotest.test_case "rw both directions" `Quick test_races_read_write_both_directions;
         Alcotest.test_case "false sharing ignored" `Quick test_false_sharing_no_race;
         Alcotest.test_case "bitmap request dedup" `Quick test_bitmap_requests_dedup;
+        QCheck_alcotest.to_alcotest prop_requests_by_proc;
+        QCheck_alcotest.to_alcotest prop_compare_request;
         Alcotest.test_case "first races" `Quick test_first_races;
       ] );
     ( "oracle",

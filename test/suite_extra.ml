@@ -215,6 +215,53 @@ let test_sync_trace_cursor () =
     (Coherence.Sync_trace.next_grantee trace ~lock:1)
 
 (* ------------------------------------------------------------------ *)
+(* Elided-site lookup                                                  *)
+
+(* A fresh copy: equal to the literal, never physically the same. *)
+let copy s = Bytes.to_string (Bytes.of_string s)
+
+let test_elide_more_sites_than_slots () =
+  let n = (3 * Coherence.Elide.slots) + 1 in
+  let sites = List.init n (Printf.sprintf "site%d") in
+  let elided = List.filteri (fun i _ -> i mod 3 = 0) sites in
+  let set = Coherence.Elide.create (Some elided) in
+  (* twice through, with the first strings seen and with copies: the
+     identity cache fills up part way through the first pass *)
+  for _ = 1 to 2 do
+    List.iter
+      (fun site ->
+        let expect = List.mem site elided in
+        check Alcotest.bool site expect (Coherence.Elide.mem set site);
+        check Alcotest.bool (site ^ " copy") expect (Coherence.Elide.mem set (copy site)))
+      sites
+  done;
+  check Alcotest.bool "unknown site" false (Coherence.Elide.mem set "elsewhere")
+
+let test_elide_equal_not_identical () =
+  let key = "sor:north" and other = "sor:west" in
+  let set = Coherence.Elide.create (Some [ copy key ]) in
+  check Alcotest.bool "literal" true (Coherence.Elide.mem set key);
+  check Alcotest.bool "equal copy after the literal is cached" true
+    (Coherence.Elide.mem set (copy key));
+  check Alcotest.bool "non-member" false (Coherence.Elide.mem set other);
+  check Alcotest.bool "non-member copy" false (Coherence.Elide.mem set (copy other));
+  let off = Coherence.Elide.create None in
+  check Alcotest.bool "elision off" false (Coherence.Elide.mem off key)
+
+let test_elide_no_allocation () =
+  let set = Coherence.Elide.create (Some [ "a"; "b" ]) in
+  let sites = [| "a"; "b"; "c" |] in
+  Array.iter (fun s -> ignore (Coherence.Elide.mem set s)) sites;
+  let hits = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 1 to 30_000 do
+    if Coherence.Elide.mem set (Array.unsafe_get sites (i mod 3)) then incr hits
+  done;
+  let words = Gc.minor_words () -. before in
+  check Alcotest.int "hits" 20_000 !hits;
+  if words > 64.0 then Alcotest.failf "30k lookups allocated %.0f minor words" words
+
+(* ------------------------------------------------------------------ *)
 (* Experiments helpers (small scale)                                   *)
 
 let test_experiments_table2 () =
@@ -284,6 +331,12 @@ let suite =
         Alcotest.test_case "detection traffic" `Quick
           test_detect_changes_traffic_only_in_detect_runs;
         Alcotest.test_case "sync trace cursor" `Quick test_sync_trace_cursor;
+      ] );
+    ( "extra:elide",
+      [
+        Alcotest.test_case "more sites than slots" `Quick test_elide_more_sites_than_slots;
+        Alcotest.test_case "equal but not identical" `Quick test_elide_equal_not_identical;
+        Alcotest.test_case "lookups allocate nothing" `Quick test_elide_no_allocation;
       ] );
     ( "extra:experiments",
       [

@@ -4,7 +4,7 @@
 let check = Alcotest.check
 
 let instruction ?(kind = Instrument.Binary.Load) addressing origin =
-  { Instrument.Binary.kind; addressing; origin; site = "s" }
+  { Instrument.Binary.kind; addressing; origin; site = "s"; count = 1 }
 
 let test_classification_rules () =
   let open Instrument in
@@ -103,7 +103,7 @@ let test_instrumented_sites () =
     Binary.make ~name:"t"
       [
         { Binary.kind = Binary.Load; addressing = Binary.Computed; origin = Binary.App_text;
-          site = "hot" };
+          site = "hot"; count = 1 };
         instruction Binary.Frame_pointer Binary.App_text;
       ]
   in
