@@ -128,7 +128,52 @@ let all : combo list =
           [ 1; 99 ])
       [ "tsp"; "water" ]
   in
-  base @ flag_variants @ fault_variants @ seed_variants
+  let bus_variants =
+    (* the snooping-bus backends over the same apps and sizes, plus the
+       elision and no-detection switches they share with LRC *)
+    List.concat_map
+      (fun app ->
+        List.concat_map
+          (fun backend ->
+            List.map
+              (fun nprocs ->
+                {
+                  label = Printf.sprintf "%s-%s-p%d" app backend nprocs;
+                  app;
+                  nprocs;
+                  cfg = { Lrc.Config.default with Lrc.Config.backend };
+                })
+              [ 4; 8 ])
+          [ "mesi"; "dragon" ])
+      Apps.Registry.extended_names
+  in
+  let elide = Some [] (* derive the elided sites from the app's binary *) in
+  let elide_variants =
+    List.concat_map
+      (fun app ->
+        [
+          {
+            label = Printf.sprintf "%s-mesi-elide-p4" app;
+            app;
+            nprocs = 4;
+            cfg = { Lrc.Config.default with Lrc.Config.backend = "mesi"; elide_sites = elide };
+          };
+          {
+            label = Printf.sprintf "%s-dragon-nodetect-p4" app;
+            app;
+            nprocs = 4;
+            cfg = { Lrc.Config.default with Lrc.Config.backend = "dragon"; detect = false };
+          };
+          {
+            label = Printf.sprintf "%s-elide-p4" app;
+            app;
+            nprocs = 4;
+            cfg = { Lrc.Config.default with Lrc.Config.elide_sites = elide };
+          };
+        ])
+      Apps.Registry.all_names
+  in
+  base @ flag_variants @ fault_variants @ seed_variants @ bus_variants @ elide_variants
 
 let find label = List.find_opt (fun c -> c.label = label) all
 
