@@ -156,8 +156,8 @@ let reorder_arg =
 
 let partition_arg =
   let doc =
-    "One-shot link partition: frames between nodes $(i)A$(i) and $(i)B$(i) (both \
-     directions) are dropped while simulated time is in [$(i)T0$(i), $(i)T1$(i)) \
+    "One-shot link partition: frames between nodes $(i,A) and $(i,B) (both \
+     directions) are dropped while simulated time is in [$(i,T0), $(i,T1)) \
      nanoseconds. Repeatable. Implies the transport."
   in
   Arg.(value & opt_all (t4 int int int int) [] & info [ "partition" ] ~docv:"A,B,T0,T1" ~doc)

@@ -19,7 +19,7 @@ let () =
   let stripe = Lrc.Cluster.alloc cluster (4 * 8) in
   let hot = Lrc.Cluster.alloc cluster 8 in
   let body node =
-    let open Lrc.Dsm in
+    let open Coherence.Dsm in
     barrier node;
     (* false sharing: disjoint words, same page, concurrent intervals *)
     for round = 1 to 3 do

@@ -17,7 +17,7 @@ let () =
 
   (* ... and the SPMD body below runs on every processor. *)
   let body node =
-    let open Lrc.Dsm in
+    let open Coherence.Dsm in
     barrier node;
 
     (* properly synchronized shared counter: no race *)

@@ -12,7 +12,7 @@ let () =
   let x = Lrc.Cluster.alloc cluster 8 ~name:"x" in
   let sum = Lrc.Cluster.alloc cluster 8 ~name:"sum" in
   let body node =
-    let open Lrc.Dsm in
+    let open Coherence.Dsm in
     barrier node;
     (* a small lock-structured phase, like Figure 2's execution *)
     for _ = 1 to 2 do

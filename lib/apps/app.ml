@@ -7,7 +7,7 @@ type t = {
   synchronization : string;  (* Table 1's "Synchronization" column *)
   memory_bytes : int;  (* size of the shared data segment *)
   binary : unit -> Instrument.Binary.t;  (* synthetic image for Table 2 *)
-  body : Lrc.Dsm.node -> unit;
+  body : Coherence.Dsm.node -> unit;
       (* SPMD body run by every simulated processor; raises on a failed
          self-check so broken coherence can never pass silently *)
 }

@@ -160,7 +160,7 @@ let fft_in_place ~inverse re im =
 let log2i n = int_of_float (Float.round (Float.log2 (float_of_int n)))
 
 let body ({ n1; n2; n3 } as params) node =
-  let open Lrc.Dsm in
+  let open Coherence.Dsm in
   let nprocs = nprocs node and pid = pid node in
   let n = total params in
   let data = malloc node (2 * n * 8) ~name:"fft.data" in

@@ -81,7 +81,7 @@ let binary () =
     (App.runtime_sections ~name:"lu" ~library_name:"libm" ~library:52000 ~cvm:3910)
 
 let body ({ n } as params) node =
-  let open Lrc.Dsm in
+  let open Coherence.Dsm in
   let nprocs = nprocs node and pid = pid node in
   let a = malloc node (n * n * 8) ~name:"lu.matrix" in
   let index i j = (i * n) + j in

@@ -108,7 +108,7 @@ let band ~rows ~nprocs ~pid =
   (lo, hi)
 
 let body ({ rows; cols; iters } as params) node =
-  let open Lrc.Dsm in
+  let open Coherence.Dsm in
   let nprocs = nprocs node and pid = pid node in
   let grid0 = malloc node (rows * cols * 8) ~name:"sor.grid0" in
   let grid1 = malloc node (rows * cols * 8) ~name:"sor.grid1" in

@@ -253,16 +253,16 @@ type layout = {
 
 let layout node params =
   let record_words = params.ncities + 2 in
-  let matrix = Lrc.Dsm.malloc node (params.ncities * params.ncities * 8) ~name:"tsp.distance_matrix" in
-  let queue_base = Lrc.Dsm.malloc node (queue_capacity * record_words * 8) ~name:"tsp.queue" in
-  let queue_top = Lrc.Dsm.malloc node 8 ~name:"tsp.queue_top" in
-  let in_flight = Lrc.Dsm.malloc node 8 ~name:"tsp.in_flight" in
-  let bound = Lrc.Dsm.malloc node 8 ~name:"tsp.bound" in
-  let best_tour = Lrc.Dsm.malloc node (params.ncities * 8) ~name:"tsp.best_tour" in
+  let matrix = Coherence.Dsm.malloc node (params.ncities * params.ncities * 8) ~name:"tsp.distance_matrix" in
+  let queue_base = Coherence.Dsm.malloc node (queue_capacity * record_words * 8) ~name:"tsp.queue" in
+  let queue_top = Coherence.Dsm.malloc node 8 ~name:"tsp.queue_top" in
+  let in_flight = Coherence.Dsm.malloc node 8 ~name:"tsp.in_flight" in
+  let bound = Coherence.Dsm.malloc node 8 ~name:"tsp.bound" in
+  let best_tour = Coherence.Dsm.malloc node (params.ncities * 8) ~name:"tsp.best_tour" in
   { matrix; queue_base; queue_top; in_flight; bound; best_tour; record_words }
 
 let body params node =
-  let open Lrc.Dsm in
+  let open Coherence.Dsm in
   let n = params.ncities in
   let lay = layout node params in
   let dist_addr i j = lay.matrix + (((i * n) + j) * 8) in

@@ -237,7 +237,7 @@ let off_vel s axis = 9 + (s * 3) + axis
 let off_force s axis = 18 + (s * 3) + axis
 
 let body ({ nmols; steps; mols_per_lock; inject_bug } as params) node =
-  let open Lrc.Dsm in
+  let open Coherence.Dsm in
   let nprocs = nprocs node and pid = pid node in
   let mols = malloc node (nmols * mol_words * 8) ~name:"water.molecules" in
   let potential = malloc node 8 ~name:"water.potential" in

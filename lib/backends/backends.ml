@@ -20,7 +20,7 @@ let unknown name =
 
 let create ?cost ?(cfg = Coherence.Config.default) ~nprocs ~pages () =
   match cfg.Coherence.Config.backend with
-  | "lrc" -> Lrc.Backend.create ?cost ~cfg ~nprocs ~pages ()
+  | "lrc" -> Lrc.Cluster.backend ?cost ~cfg ~nprocs ~pages ()
   | "mesi" -> Cc.Machine.backend ?cost ~cfg ~protocol:Cc.Machine.Mesi ~nprocs ~pages ()
   | "dragon" ->
       Cc.Machine.backend ?cost ~cfg ~protocol:Cc.Machine.Dragon ~nprocs ~pages ()

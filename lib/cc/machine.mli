@@ -10,25 +10,12 @@
     each bus transaction paying arbitration, transfer, and supplier
     latency through the simulation engine.
 
-    Not supported (rejected or ignored at [create]): fault injection and
+    Not supported (rejected or ignored at creation): fault injection and
     the reliable transport (no lossy wire on a bus — [invalid_arg]),
     lock-grant replay, interval GC, diff-based stores, and site
     retention. *)
 
 type protocol = Mesi | Dragon
-
-val protocol_name : protocol -> string
-
-type t
-
-val create :
-  ?cost:Sim.Cost.t ->
-  ?cfg:Coherence.Config.t ->
-  protocol:protocol ->
-  nprocs:int ->
-  pages:int ->
-  unit ->
-  t
 
 val backend :
   ?cost:Sim.Cost.t ->

@@ -9,7 +9,7 @@
    configured backend name and returns one of these, so unlinked-module
    initialization order can never decide which backends exist. *)
 
-type observer = site:string -> addr:int -> Proto.Race.access_kind -> unit
+type observer = Proc.observer
 
 type t = {
   name : string;  (* registry id: "lrc", "mesi", "dragon" *)
@@ -37,3 +37,25 @@ type t = {
       (* hook every instrumented shared access of one processor (watch
          mode, paper section 6.1) *)
 }
+
+(* The observation surface every backend derives the same way from its
+   run-wide state and processors. *)
+let make (env : Proc.env) ~name (procs : Proc.t array) ~alloc ~run ~memory_checksum =
+  {
+    name;
+    nprocs = Array.length procs;
+    geometry = env.Proc.geometry;
+    config = env.Proc.cfg;
+    stats = env.Proc.stats;
+    symtab = env.Proc.symtab;
+    alloc;
+    run;
+    races = (fun () -> Proto.Race.dedup env.Proc.races);
+    trace = (fun () -> List.rev env.Proc.trace);
+    timed_trace = (fun () -> List.rev env.Proc.timed);
+    sync_trace = (fun () -> Option.map Sync_trace.of_recorder env.Proc.recorder);
+    sim_time = (fun () -> Sim.Engine.now env.Proc.engine);
+    memory_checksum;
+    set_access_observer =
+      (fun id observer -> procs.(id).Proc.access_observer <- Some observer);
+  }

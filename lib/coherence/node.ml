@@ -6,7 +6,7 @@
    closures over the backend's own per-processor state. Record fields
    carry the optional arguments directly, so call sites keep the exact
    shape they had when this surface was a concrete module — see
-   {!Lrc.Dsm} for the friendlier wrappers most programs use. *)
+   {!Coherence.Dsm} for the friendlier wrappers most programs use. *)
 
 type t = {
   id : int;

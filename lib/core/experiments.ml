@@ -216,7 +216,7 @@ let figure5 ~protocol () =
   let slot_addr v = slots + ((v - 37) * 8) in
   let p2_qptr = ref 0 in
   let body node =
-    let open Lrc.Dsm in
+    let open Coherence.Dsm in
     (match pid node with
     | 0 ->
         (* P1: initialize, then fill without releasing *)

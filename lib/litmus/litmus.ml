@@ -20,7 +20,7 @@ type test = {
   (* [body node ~delay] runs one processor; [delay d] burns d abstract
      nanoseconds so the sweep can reshape the interleaving. Returns the
      processor's observed registers. *)
-  body : base:int -> Lrc.Dsm.node -> delay:(float -> unit) -> registers;
+  body : base:int -> Coherence.Dsm.node -> delay:(float -> unit) -> registers;
 }
 
 let run ?(protocol = Lrc.Config.Single_writer) ~delays test =
@@ -30,11 +30,11 @@ let run ?(protocol = Lrc.Config.Single_writer) ~delays test =
   let base = Lrc.Cluster.alloc cluster (test.shared_words * 8) ~name:"litmus" in
   let observed = Array.make test.nprocs [] in
   let body node =
-    let pid = Lrc.Dsm.pid node in
-    Lrc.Dsm.barrier node;
-    Lrc.Dsm.idle node delays.(pid);
-    observed.(pid) <- test.body ~base node ~delay:(Lrc.Dsm.idle node);
-    Lrc.Dsm.barrier node
+    let pid = Coherence.Dsm.pid node in
+    Coherence.Dsm.barrier node;
+    Coherence.Dsm.idle node delays.(pid);
+    observed.(pid) <- test.body ~base node ~delay:(Coherence.Dsm.idle node);
+    Coherence.Dsm.barrier node
   in
   Lrc.Cluster.run cluster ~body;
   List.concat (Array.to_list observed)
@@ -77,7 +77,7 @@ let message_passing =
     shared_words = 1024;
     body =
       (fun ~base node ~delay ->
-        let open Lrc.Dsm in
+        let open Coherence.Dsm in
         if pid node = 0 then begin
           write_int node (addr base x_word) 1;
           delay 100_000.0;
@@ -104,7 +104,7 @@ let message_passing_synchronized =
     shared_words = 1024;
     body =
       (fun ~base node ~delay ->
-        let open Lrc.Dsm in
+        let open Coherence.Dsm in
         if pid node = 0 then begin
           with_lock node 1 (fun () ->
               write_int node (addr base x_word) 1;
@@ -130,7 +130,7 @@ let store_buffering =
     shared_words = 1024;
     body =
       (fun ~base node ~delay ->
-        let open Lrc.Dsm in
+        let open Coherence.Dsm in
         if pid node = 0 then begin
           (* warm y so the read does not fetch a fresh copy *)
           ignore (read_int node (addr base y_word));
@@ -157,7 +157,7 @@ let coherence_rr =
     shared_words = 1024;
     body =
       (fun ~base node ~delay ->
-        let open Lrc.Dsm in
+        let open Coherence.Dsm in
         if pid node = 0 then begin
           write_int node (addr base x_word) 1;
           delay 400_000.0;
@@ -184,7 +184,7 @@ let message_passing_late_publish =
     shared_words = 1024;
     body =
       (fun ~base node ~delay ->
-        let open Lrc.Dsm in
+        let open Coherence.Dsm in
         if pid node = 0 then begin
           with_lock node 1 (fun () -> write_int node (addr base y_word) 1);
           delay 100_000.0;
@@ -227,7 +227,7 @@ type kernel = {
   k_cfg : Lrc.Config.t -> Lrc.Config.t;
       (* per-kernel config adjustments (e.g. interval GC cadence) applied
          on top of the protocol under test *)
-  k_body : base:int -> Lrc.Dsm.node -> unit;
+  k_body : base:int -> Coherence.Dsm.node -> unit;
   k_binary : unit -> Instrument.Binary.t;
       (* the kernel's synthetic binary: a CFG mirroring the body's shared
          accesses (same sites, same lock and barrier structure), so the
@@ -311,7 +311,7 @@ let kernel_binary name ops =
 let expect node what got want =
   if got <> want then
     failwith
-      (Printf.sprintf "%s: proc %d read %d, expected %d" what (Lrc.Dsm.pid node) got want)
+      (Printf.sprintf "%s: proc %d read %d, expected %d" what (Coherence.Dsm.pid node) got want)
 
 let diff_cache_reuse =
   (* One writer dirties a run of words; after the barrier, every other
@@ -326,7 +326,7 @@ let diff_cache_reuse =
     k_cfg = Fun.id;
     k_body =
       (fun ~base node ->
-        let open Lrc.Dsm in
+        let open Coherence.Dsm in
         barrier node;
         if pid node = 0 then
           for w = 0 to 15 do
@@ -371,7 +371,7 @@ let gc_interval_rerequest =
     k_cfg = (fun cfg -> { cfg with Lrc.Config.gc_epochs = Some 2 });
     k_body =
       (fun ~base node ->
-        let open Lrc.Dsm in
+        let open Coherence.Dsm in
         barrier node;
         if pid node = 0 then
           for w = 0 to 7 do
@@ -422,7 +422,7 @@ let write_notice_invalid_page =
     k_cfg = Fun.id;
     k_body =
       (fun ~base node ->
-        let open Lrc.Dsm in
+        let open Coherence.Dsm in
         (* everyone caches the page first *)
         ignore (read_int_at node ~site:"wni:warm" base (pid node));
         barrier node;
@@ -467,7 +467,7 @@ let lock_handoff_chain =
     k_cfg = Fun.id;
     k_body =
       (fun ~base node ->
-        let open Lrc.Dsm in
+        let open Coherence.Dsm in
         barrier node;
         for _round = 1 to 2 do
           with_lock node 5 (fun () ->
@@ -515,7 +515,7 @@ let lock_chained_publish =
     k_cfg = Fun.id;
     k_body =
       (fun ~base node ->
-        let open Lrc.Dsm in
+        let open Coherence.Dsm in
         barrier node;
         (match pid node with
         | 0 -> with_lock node 1 (fun () -> write_int_at node ~site:"lcp:pub" base 0 41)
@@ -562,7 +562,7 @@ let false_sharing_writers =
     k_cfg = Fun.id;
     k_body =
       (fun ~base node ->
-        let open Lrc.Dsm in
+        let open Coherence.Dsm in
         barrier node;
         write_int_at node ~site:"fsw:mine" base (pid node) (10 * (pid node + 1));
         barrier node;
@@ -595,7 +595,7 @@ let true_sharing_overlap =
     k_cfg = Fun.id;
     k_body =
       (fun ~base node ->
-        let open Lrc.Dsm in
+        let open Coherence.Dsm in
         barrier node;
         let word = if pid node < 2 then 0 else pid node in
         write_int_at node ~site:"tso:store" base word (pid node + 1);
@@ -619,7 +619,7 @@ let multi_reader_race =
     k_cfg = Fun.id;
     k_body =
       (fun ~base node ->
-        let open Lrc.Dsm in
+        let open Coherence.Dsm in
         barrier node;
         if pid node = 0 then write_int_at node ~site:"mrr:store" base 0 9
         else ignore (read_int_at node ~site:"mrr:load" base 0);
@@ -648,7 +648,7 @@ let partially_locked =
     k_cfg = Fun.id;
     k_body =
       (fun ~base node ->
-        let open Lrc.Dsm in
+        let open Coherence.Dsm in
         barrier node;
         if pid node < 2 then
           with_lock node 3 (fun () ->

@@ -13,7 +13,7 @@ type test = {
   name : string;
   nprocs : int;
   shared_words : int;
-  body : base:int -> Lrc.Dsm.node -> delay:(float -> unit) -> registers;
+  body : base:int -> Coherence.Dsm.node -> delay:(float -> unit) -> registers;
 }
 
 val run : ?protocol:Lrc.Config.protocol -> delays:float array -> test -> registers
@@ -64,7 +64,7 @@ type kernel = {
   k_pages : int;
   k_words : int;
   k_cfg : Lrc.Config.t -> Lrc.Config.t;
-  k_body : base:int -> Lrc.Dsm.node -> unit;
+  k_body : base:int -> Coherence.Dsm.node -> unit;
   k_binary : unit -> Instrument.Binary.t;
       (** the kernel's synthetic binary: a CFG mirroring the body's
           shared accesses (same sites, locks and barriers), so the

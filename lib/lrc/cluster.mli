@@ -7,16 +7,13 @@ val create : ?cost:Sim.Cost.t -> ?cfg:Config.t -> nprocs:int -> pages:int -> uni
 (** Build a cluster of [nprocs] processors over a shared segment of
     [pages] pages. Page/word sizes come from the cost model. *)
 
-val node : t -> int -> Node.t
-val nprocs : t -> int
-
 val alloc : t -> ?name:string -> ?align:int -> int -> int
 (** Pre-run shared allocation visible to every node (how the applications
     lay out their shared data before the workers start). [name] registers
     the range in the symbol table so race reports resolve symbolically.
     Raises [Invalid_argument] when the segment is exhausted. *)
 
-val run : t -> body:(Dsm.node -> unit) -> unit
+val run : t -> body:(Coherence.Node.t -> unit) -> unit
 (** Spawn one process per node running [body] and drive the simulation to
     completion. Exceptions from bodies (failed self-checks) propagate;
     blocked processes raise {!Sim.Engine.Deadlock}. *)
@@ -47,5 +44,7 @@ val memory_checksum : t -> int
 
 val stats : t -> Sim.Stats.t
 val symtab : t -> Mem.Symtab.t
-val geometry : t -> Mem.Geometry.t
-val config : t -> Config.t
+
+val backend :
+  ?cost:Sim.Cost.t -> ?cfg:Config.t -> nprocs:int -> pages:int -> unit -> Coherence.Backend.t
+(** A fresh cluster behind the backend interface, named ["lrc"]. *)

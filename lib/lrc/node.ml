@@ -1,7 +1,7 @@
 (* Per-processor DSM state and protocol engine — the CVM analogue.
 
    Each simulated processor owns one [t]. Its application coroutine calls
-   the access/synchronization operations in {!Dsm}; protocol messages from
+   the access/synchronization operations through {!view}; protocol messages from
    other processors are serviced by [handle_message], which the network
    invokes at delivery time (CVM's SIGIO handler). Handlers never block;
    replies the application waits for are parked in [replies] and the
@@ -11,6 +11,12 @@
    prototype: lock manager, page manager (single-writer ownership
    directory), and barrier master (where the race-detection algorithm
    runs).
+
+   The detector's per-processor half — time debt, access notes and
+   bitmaps, interval open and snapshot, the race epilogue — is the
+   {!Coherence.Proc} shared with the bus machine; this module keeps what
+   is LRC's own: pages, faults, diffs, messages, the interval log, site
+   retention and the barrier's bitmap request/reply round.
 
    Delivery-semantics audit: these handlers are NOT idempotent. A
    re-delivered Lock_req would enqueue a second grant, a duplicated
@@ -22,6 +28,8 @@
    {!Sim.Transport} (sequence numbers, cumulative acks, retransmission,
    duplicate suppression) restores it before messages reach
    [handle_message]. *)
+
+module Proc = Coherence.Proc
 
 type pstate = P_invalid | P_read | P_write
 
@@ -64,81 +72,37 @@ type barrier_master = {
   mutable arrivals : (int * Proto.Vclock.t * Proto.Interval.t list) list;
   mutable pending_checks : Racedetect.Checklist.entry list;
   mutable expected_replies : int;
-  collected : (Proto.Interval.id * int, Racedetect.Detector.bitmap_pair) Hashtbl.t;
-  mutable race_seen : bool;  (* for first_race_only suppression *)
+  collected : Racedetect.Detector.bitmap_store;
   mutable master_vc : Proto.Vclock.t;  (* merged arrival clocks *)
   mutable check_bytes : int;  (* wire size of the check list *)
   mutable processing_epoch : int;  (* epoch under analysis *)
 }
 
-type runtime = {
-  engine : Sim.Engine.t;
-  cost : Sim.Cost.t;
-  stats : Sim.Stats.t;
-  cfg : Config.t;
-  geometry : Mem.Geometry.t;
-  mutable net : Message.t Sim.Net.t option;  (* filled in by Cluster *)
-  races : Proto.Race.t list ref;
-  trace : (int * Racedetect.Oracle.event) list ref;  (* reversed *)
-  timed : (int * int * Racedetect.Oracle.event) list ref;  (* (ns, proc, ev) *)
-  recorder : Coherence.Sync_trace.recorder option;
-  symtab : Mem.Symtab.t;  (* names for shared allocations (section 6.1) *)
-}
-
 type t = {
-  rt : runtime;
+  env : Proc.env;
+  net : Message.t Sim.Net.t;
+  proc : Proc.t;  (* vector clock, intervals, access bitmaps, time debt *)
   id : int;
   nprocs : int;
-  vc : Proto.Vclock.t;
-  mutable cur : Proto.Interval.t;
-  mutable epoch : int;
   log : (Proto.Interval.id, Proto.Interval.t) Hashtbl.t;
   applied : (Proto.Interval.id, unit) Hashtbl.t;  (* notices already applied *)
   max_seen : int array;  (* per-proc highest interval index present in [log] *)
-  mutable my_closed : Proto.Interval.t list;  (* own closed, this epoch *)
   pages : page_entry array;
   mutable rw_pages : int list;  (* pages currently P_write (for downgrade) *)
   locks : (int, lock_local) Hashtbl.t;
-  (* instrumentation: current interval's word-level access bitmaps. The
-     hashtables are authoritative (their iteration order fixes the order
-     of read-notice emission in [snapshot_bitmaps]); the arrays are O(1)
-     per-access handles onto the same bitmaps. *)
-  read_bits : (int, Mem.Bitmap.t) Hashtbl.t;
-  write_bits : (int, Mem.Bitmap.t) Hashtbl.t;
-  read_cache : Mem.Bitmap.t option array;
-  write_cache : Mem.Bitmap.t option array;
-  bitmap_store : (Proto.Interval.id * int, Racedetect.Detector.bitmap_pair) Hashtbl.t;
+  bitmap_store : Racedetect.Detector.bitmap_store;  (* own closed intervals' bitmaps *)
   (* diffs tagged with the creating interval's epoch, for interval GC *)
   diff_store : (Proto.Interval.id * int, Mem.Diff.t * int) Hashtbl.t;
   mutable gc_drop_bound : int;
       (* two-phase diff GC: epoch bound recorded at the last validate
          barrier, executed (diffs with creation epoch < bound dropped) at
          the next one; -1 when no drop is scheduled *)
-  (* precomputed shift/mask address geometry, valid when [g_fast] (page
-     and word sizes both powers of two, base page-aligned) *)
-  g_fast : bool;
-  g_base : int;
-  g_limit : int;
-  g_page_shift : int;
-  g_page_mask : int;
-  g_word_shift : int;
-  g_word_mask : int;
   (* section 6.1 single-run site retention: (page, word, kind) -> site for
      the current interval, snapshotted per closed interval and KEPT for
      the whole run — the storage cost the paper calls prohibitive *)
   cur_sites : (int * int * Proto.Race.access_kind, string) Hashtbl.t;
   site_store : (Proto.Interval.id * int * int * Proto.Race.access_kind, string) Hashtbl.t;
-  (* statically race-free sites whose runtime check is elided (the MHP
-     analysis' complement set); empty when elision is off *)
-  elide : Coherence.Elide.t;
   mutable replies : Message.t list;  (* replies awaited by the app coroutine *)
-  debt : float array;
-      (* accumulated local compute time not yet advanced; a 1-element float
-         array so the several updates per access stay unboxed *)
-  mutable alloc_next : int;  (* bump allocator over the shared segment *)
-  mutable access_observer :
-    (site:string -> addr:int -> Proto.Race.access_kind -> unit) option;
-      (* hook for the two-run reference-identification scheme (section 6.1) *)
   (* central services, only populated at processor 0 *)
   page_mgrs : page_mgr array;
   lock_mgrs : (int, lock_mgr) Hashtbl.t;
@@ -146,95 +110,12 @@ type t = {
   home_pages : (int, home_page) Hashtbl.t;  (* pages homed at this node *)
 }
 
-let is_manager t = t.id = 0
-
-let net t =
-  match t.rt.net with Some n -> n | None -> invalid_arg "Node: network not wired"
-
-let words_per_page t = Mem.Geometry.words_per_page t.rt.geometry
-
-(* ------------------------------------------------------------------ *)
-(* Time accounting                                                     *)
-
-let charge_local t ns = Array.unsafe_set t.debt 0 (Array.unsafe_get t.debt 0 +. ns)
-
-let charge_category t category ns =
-  Sim.Stats.charge t.rt.stats category ns;
-  charge_local t ns
-
-let flush_time t =
-  let debt = Array.unsafe_get t.debt 0 in
-  if debt >= 1.0 then begin
-    let ns = int_of_float debt in
-    Array.unsafe_set t.debt 0 (debt -. float_of_int ns);
-    Sim.Engine.advance ns
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Trace recording (oracle cross-validation)                           *)
-
-let emit_trace t event =
-  if t.rt.cfg.Config.record_trace then begin
-    t.rt.trace := (t.id, event) :: !(t.rt.trace);
-    t.rt.timed := (Sim.Engine.now t.rt.engine, t.id, event) :: !(t.rt.timed)
-  end
-
-(* Access-path variants that only construct the event when a trace is
-   actually being recorded (the constructor argument to [emit_trace] would
-   otherwise allocate on every shared access). *)
-let trace_read t addr =
-  if t.rt.cfg.Config.record_trace then emit_trace t (Racedetect.Oracle.Read addr)
-
-let trace_write t addr =
-  if t.rt.cfg.Config.record_trace then emit_trace t (Racedetect.Oracle.Write addr)
-
-(* Record/replay sink: protocol-level events carry context (vector clocks,
-   interval ids, page lists) the sim layer's probe cannot see, so they are
-   emitted here. One branch when no tracer is configured. *)
-let emit_sink t event =
-  match t.rt.cfg.Config.tracer with
-  | Some sink -> Trace.Sink.emit sink ~time:(Sim.Engine.now t.rt.engine) event
-  | None -> ()
-
-let tracing t = t.rt.cfg.Config.tracer <> None
-
-(* Temporary debugging aid: set CVM_DEBUG_ADDR to a shared address to trace
-   every event that touches its word. *)
-let debug_addr =
-  match Sys.getenv_opt "CVM_DEBUG_ADDR" with
-  | Some s -> Some (int_of_string s)
-  | None -> None
-
-let debug_page t =
-  match debug_addr with
-  | Some a when Mem.Geometry.in_shared t.rt.geometry a ->
-      Some (Mem.Geometry.page_of_addr t.rt.geometry a, Mem.Geometry.word_in_page t.rt.geometry a)
-  | _ -> None
-
-let debug_enabled = debug_addr <> None
-
-let debug_event t ~page fmt =
-  match debug_page t with
-  | Some (dp, dw) when dp = page ->
-      let entry = t.pages.(page) in
-      Printf.eprintf "[%10d p%d] " (Sim.Engine.now t.rt.engine) t.id;
-      Printf.kfprintf
-        (fun oc ->
-          Printf.fprintf oc " | word=%Ld state=%s owner=%b\n%!"
-            (Mem.Page.get_int64 entry.data dw)
-            (match entry.state with P_invalid -> "I" | P_read -> "R" | P_write -> "W")
-            entry.owner)
-        stderr fmt
-  | _ -> Printf.ikfprintf (fun _ -> ()) stderr fmt
-
+let words_per_page t = Mem.Geometry.words_per_page t.env.geometry
 
 (* ------------------------------------------------------------------ *)
 (* Interval lifecycle                                                  *)
 
-let detect_on t = t.rt.cfg.Config.detect
-
-let stores_from_diffs t =
-  t.rt.cfg.Config.stores_from_diffs && t.rt.cfg.Config.protocol = Config.Multi_writer
+let detect_on t = t.env.cfg.Config.detect
 
 let send t ~dst msg =
   let with_read_notices = detect_on t in
@@ -244,69 +125,27 @@ let send t ~dst msg =
   | Message.Barrier_release { intervals; _ } ->
       if with_read_notices then begin
         let extra = Message.read_notice_bytes intervals in
-        t.rt.stats.Sim.Stats.read_notice_bytes <-
-          t.rt.stats.Sim.Stats.read_notice_bytes + extra;
-        Sim.Stats.charge t.rt.stats Sim.Stats.Cvm_mods
-          (t.rt.cost.Sim.Cost.byte_ns *. float_of_int extra)
+        t.env.stats.Sim.Stats.read_notice_bytes <-
+          t.env.stats.Sim.Stats.read_notice_bytes + extra;
+        Sim.Stats.charge t.env.stats Sim.Stats.Cvm_mods
+          (t.env.cost.Sim.Cost.byte_ns *. float_of_int extra)
       end
   | Message.Bitmap_req _ | Message.Bitmap_reply _ ->
-      t.rt.stats.Sim.Stats.bitmap_round_bytes <-
-        t.rt.stats.Sim.Stats.bitmap_round_bytes + Message.size ~with_read_notices msg
+      t.env.stats.Sim.Stats.bitmap_round_bytes <-
+        t.env.stats.Sim.Stats.bitmap_round_bytes + Message.size ~with_read_notices msg
   | _ -> ());
-  Sim.Net.send (net t) ~src:t.id ~dst msg
+  Sim.Net.send t.net ~src:t.id ~dst msg
 
 (* Deferred send used by handlers that model serialized master-side work:
    the message leaves after the master has "spent" the computation time. *)
 let send_after t ~delay ~dst msg =
   if delay <= 0 then send t ~dst msg
-  else Sim.Engine.schedule_after t.rt.engine ~delay (fun () -> send t ~dst msg)
-
-
-let snapshot_bitmaps t interval =
-  (* Freeze the current interval's access bitmaps; read notices are derived
-     here (modification (ii) of the paper). Bitmaps stay local until the
-     barrier master asks for them in the extra round. *)
-  let id = Proto.Interval.id interval in
-  let pages = Hashtbl.create 8 in
-  Hashtbl.iter (fun page _ -> Hashtbl.replace pages page ()) t.read_bits;
-  Hashtbl.iter (fun page _ -> Hashtbl.replace pages page ()) t.write_bits;
-  Hashtbl.iter
-    (fun page () ->
-      let reads =
-        match Hashtbl.find_opt t.read_bits page with
-        | Some bm -> bm
-        | None -> Mem.Bitmap.create (words_per_page t)
-      in
-      let writes =
-        match Hashtbl.find_opt t.write_bits page with
-        | Some bm -> bm
-        | None -> Mem.Bitmap.create (words_per_page t)
-      in
-      if Mem.Bitmap.any_set reads then Proto.Interval.add_read_page interval page;
-      Hashtbl.replace t.bitmap_store (id, page) { Racedetect.Detector.reads; writes };
-      t.rt.stats.Sim.Stats.bitmaps_total <- t.rt.stats.Sim.Stats.bitmaps_total + 1;
-      charge_category t Sim.Stats.Cvm_mods t.rt.cost.Sim.Cost.notice_setup_ns)
-    pages;
-  Hashtbl.iter
-    (fun page () ->
-      Array.unsafe_set t.read_cache page None;
-      Array.unsafe_set t.write_cache page None)
-    pages;
-  Hashtbl.reset t.read_bits;
-  Hashtbl.reset t.write_bits;
-  if t.rt.cfg.Config.retain_sites then begin
-    Hashtbl.iter
-      (fun (page, word, kind) site ->
-        t.rt.stats.Sim.Stats.site_entries <- t.rt.stats.Sim.Stats.site_entries + 1;
-        Hashtbl.replace t.site_store (id, page, word, kind) site)
-      t.cur_sites;
-    Hashtbl.reset t.cur_sites
-  end
+  else Sim.Engine.schedule_after t.env.engine ~delay (fun () -> send t ~dst msg)
 
 let make_diffs t interval =
   (* Multi-writer: summarize this interval's writes as word-level diffs.
-     With [stores_from_diffs], the diffs also provide the write bitmaps
-     (section 6.5's optimization). *)
+     With [stores_from_diffs] (stores not instrumented), the diffs also
+     provide the write bitmaps (section 6.5's optimization). *)
   let id = Proto.Interval.id interval in
   List.iter
     (fun page ->
@@ -317,16 +156,13 @@ let make_diffs t interval =
           let diff = Mem.Diff.create ~page ~twin ~current:entry.data in
           entry.twin <- None;
           entry.state <- P_read;
-          if debug_enabled then
-            debug_event t ~page "close diff p%d.%d (%d words)" id.Proto.Interval.proc
-              id.Proto.Interval.index (Mem.Diff.word_count diff);
           Hashtbl.replace t.diff_store (id, page) (diff, interval.Proto.Interval.epoch);
-          t.rt.stats.Sim.Stats.diffs_created <- t.rt.stats.Sim.Stats.diffs_created + 1;
-          t.rt.stats.Sim.Stats.diff_words <-
-            t.rt.stats.Sim.Stats.diff_words + Mem.Diff.word_count diff;
-          charge_local t
-            (t.rt.cost.Sim.Cost.diff_word_ns *. float_of_int (words_per_page t));
-          if detect_on t && stores_from_diffs t then begin
+          t.env.stats.Sim.Stats.diffs_created <- t.env.stats.Sim.Stats.diffs_created + 1;
+          t.env.stats.Sim.Stats.diff_words <-
+            t.env.stats.Sim.Stats.diff_words + Mem.Diff.word_count diff;
+          Proc.charge_local t.proc
+            (t.env.cost.Sim.Cost.diff_word_ns *. float_of_int (words_per_page t));
+          if detect_on t && not t.env.check_stores then begin
             let writes = Mem.Diff.to_bitmap diff ~nbits:(words_per_page t) in
             let reads =
               match Hashtbl.find_opt t.bitmap_store (id, page) with
@@ -353,22 +189,34 @@ let flush_diffs t interval =
           let diff = Mem.Diff.create ~page ~twin ~current:entry.data in
           entry.twin <- None;
           entry.state <- P_read;
-          t.rt.stats.Sim.Stats.diffs_created <- t.rt.stats.Sim.Stats.diffs_created + 1;
-          t.rt.stats.Sim.Stats.diff_words <-
-            t.rt.stats.Sim.Stats.diff_words + Mem.Diff.word_count diff;
-          charge_local t (t.rt.cost.Sim.Cost.diff_word_ns *. float_of_int (words_per_page t));
+          t.env.stats.Sim.Stats.diffs_created <- t.env.stats.Sim.Stats.diffs_created + 1;
+          t.env.stats.Sim.Stats.diff_words <-
+            t.env.stats.Sim.Stats.diff_words + Mem.Diff.word_count diff;
+          Proc.charge_local t.proc (t.env.cost.Sim.Cost.diff_word_ns *. float_of_int (words_per_page t));
           send t ~dst:(home_of t page)
-            (Message.Diff_flush { page; diffs = [ (id, diff) ]; vc = Proto.Vclock.copy t.vc }))
+            (Message.Diff_flush { page; diffs = [ (id, diff) ]; vc = Proto.Vclock.copy t.proc.vc }))
     interval.Proto.Interval.write_pages
 
 let close_interval t =
-  let interval = t.cur in
+  let interval = t.proc.cur in
   interval.Proto.Interval.closed <- true;
   (* bitmaps first: under [stores_from_diffs] the diff pass merges the
-     write bitmaps it derives into the entries the snapshot created *)
-  if detect_on t then snapshot_bitmaps t interval;
-  if t.rt.cfg.Config.protocol = Config.Multi_writer then make_diffs t interval
-  else if t.rt.cfg.Config.protocol = Config.Home_based then flush_diffs t interval
+     write bitmaps it derives into the entries the snapshot created. The
+     write notices are already in place: every write faulted. *)
+  if detect_on t then begin
+    Proc.snapshot_bitmaps t.proc t.bitmap_store interval;
+    if t.env.cfg.Config.retain_sites then begin
+      let id = Proto.Interval.id interval in
+      Hashtbl.iter
+        (fun (page, word, kind) site ->
+          t.env.stats.Sim.Stats.site_entries <- t.env.stats.Sim.Stats.site_entries + 1;
+          Hashtbl.replace t.site_store (id, page, word, kind) site)
+        t.cur_sites;
+      Hashtbl.reset t.cur_sites
+    end
+  end;
+  if t.env.cfg.Config.protocol = Config.Multi_writer then make_diffs t interval
+  else if t.env.cfg.Config.protocol = Config.Home_based then flush_diffs t interval
   else begin
     (* single-writer: downgrade our writable pages so the first write of the
        next interval faults locally and generates a fresh write notice *)
@@ -379,32 +227,16 @@ let close_interval t =
       t.rw_pages;
     t.rw_pages <- []
   end;
-  t.my_closed <- interval :: t.my_closed;
-  if tracing t then
-    emit_sink t
-      (Trace.Event.Interval_close
-         {
-           proc = t.id;
-           index = (Proto.Interval.id interval).Proto.Interval.index;
-           epoch = interval.Proto.Interval.epoch;
-           write_pages = interval.Proto.Interval.write_pages;
-           read_pages = interval.Proto.Interval.read_pages;
-         });
-  interval
+  Proc.interval_closed t.proc interval
+
+let log_own_interval t =
+  let interval = t.proc.cur in
+  Hashtbl.replace t.log (Proto.Interval.id interval) interval;
+  t.max_seen.(t.id) <- Proto.Interval.index interval
 
 let open_interval t =
-  Proto.Vclock.incr t.vc t.id;
-  let index = Proto.Vclock.get t.vc t.id in
-  let interval =
-    Proto.Interval.create ~proc:t.id ~index ~vc:(Proto.Vclock.copy t.vc) ~epoch:t.epoch
-  in
-  t.cur <- interval;
-  Hashtbl.replace t.log (Proto.Interval.id interval) interval;
-  t.max_seen.(t.id) <- index;
-  if tracing t then
-    emit_sink t (Trace.Event.Interval_open { proc = t.id; index; epoch = t.epoch });
-  t.rt.stats.Sim.Stats.intervals_created <- t.rt.stats.Sim.Stats.intervals_created + 1;
-  charge_local t t.rt.cost.Sim.Cost.interval_setup_ns
+  Proc.open_interval t.proc;
+  log_own_interval t
 
 let learn t interval =
   (* Handler-safe half of incorporation: record the interval in the log.
@@ -429,12 +261,10 @@ let apply_notices t interval =
     List.iter
       (fun page ->
         let entry = t.pages.(page) in
-        match t.rt.cfg.Config.protocol with
+        match t.env.cfg.Config.protocol with
         | Config.Single_writer ->
             if not entry.owner then begin
-              entry.state <- P_invalid;
-              if debug_enabled then
-                debug_event t ~page "invalidate (notice from p%d)" id.Proto.Interval.proc
+              entry.state <- P_invalid
             end
         | Config.Multi_writer ->
             entry.pending <- id :: entry.pending;
@@ -482,7 +312,7 @@ let unseen_intervals t ~upto ~requester_vc =
 
 let push_reply t msg =
   t.replies <- t.replies @ [ msg ];
-  Sim.Engine.wake t.rt.engine t.id
+  Sim.Engine.wake t.env.engine t.id
 
 let await_reply t ~label pred =
   let rec scan acc = function
@@ -508,18 +338,17 @@ let await_reply t ~label pred =
 (* Page faults                                                         *)
 
 let fault_prologue t =
-  flush_time t;
-  Sim.Engine.advance t.rt.cost.Sim.Cost.fault_ns
+  Proc.flush_time t.proc;
+  Sim.Engine.advance t.env.cost.Sim.Cost.fault_ns
 
 let install_page t page bytes =
   let entry = t.pages.(page) in
   Bytes.blit bytes 0 (Mem.Page.raw entry.data) 0 (Bytes.length bytes);
-  if debug_enabled then debug_event t ~page "install";
-  t.rt.stats.Sim.Stats.pages_fetched <- t.rt.stats.Sim.Stats.pages_fetched + 1
+  t.env.stats.Sim.Stats.pages_fetched <- t.env.stats.Sim.Stats.pages_fetched + 1
 
 let sw_read_fault t page =
-  t.rt.stats.Sim.Stats.read_faults <- t.rt.stats.Sim.Stats.read_faults + 1;
-  emit_sink t (Trace.Event.Page_fault { proc = t.id; page; kind = Proto.Race.Read });
+  t.env.stats.Sim.Stats.read_faults <- t.env.stats.Sim.Stats.read_faults + 1;
+  Proc.emit_sink t.proc (Trace.Event.Page_fault { proc = t.id; page; kind = Proto.Race.Read });
   fault_prologue t;
   send t ~dst:0 (Message.Copy_req { page; requester = t.id });
   let reply =
@@ -536,16 +365,16 @@ let sw_read_fault t page =
 
 let rec sw_write_fault t page =
   let entry = t.pages.(page) in
-  t.rt.stats.Sim.Stats.write_faults <- t.rt.stats.Sim.Stats.write_faults + 1;
-  emit_sink t (Trace.Event.Page_fault { proc = t.id; page; kind = Proto.Race.Write });
+  t.env.stats.Sim.Stats.write_faults <- t.env.stats.Sim.Stats.write_faults + 1;
+  Proc.emit_sink t.proc (Trace.Event.Page_fault { proc = t.id; page; kind = Proto.Race.Write });
   if entry.owner then begin
     (* local fault from the interval-start downgrade: just record the write
        notice; no messages move. The fault handling yields the processor,
        and an ownership transfer can be serviced during the yield — if it
        was, fall back to the remote path, or the write would land in a
        stale copy whose content never travels with the page. *)
-    flush_time t;
-    Sim.Engine.advance (t.rt.cost.Sim.Cost.fault_ns / 10);
+    Proc.flush_time t.proc;
+    Sim.Engine.advance (t.env.cost.Sim.Cost.fault_ns / 10);
     if not entry.owner then sw_write_fault t page
     else finish_sw_write_fault t page
   end
@@ -569,15 +398,15 @@ and finish_sw_write_fault t page =
   let entry = t.pages.(page) in
   entry.state <- P_write;
   t.rw_pages <- page :: t.rw_pages;
-  Proto.Interval.add_write_page t.cur page
+  Proto.Interval.add_write_page t.proc.cur page
 
 let mw_apply_pending t page =
   let entry = t.pages.(page) in
   (match List.sort_uniq Proto.Interval.compare_ids entry.pending with
   | [] -> ()
   | pending ->
-    t.rt.stats.Sim.Stats.read_faults <- t.rt.stats.Sim.Stats.read_faults + 1;
-    emit_sink t (Trace.Event.Page_fault { proc = t.id; page; kind = Proto.Race.Read });
+    t.env.stats.Sim.Stats.read_faults <- t.env.stats.Sim.Stats.read_faults + 1;
+    Proc.emit_sink t.proc (Trace.Event.Page_fault { proc = t.id; page; kind = Proto.Race.Read });
     fault_prologue t;
     (* group the needed diffs by creating processor; one request each *)
     let by_proc = Hashtbl.create 4 in
@@ -587,7 +416,7 @@ let mw_apply_pending t page =
         Hashtbl.replace by_proc id.proc (id :: prev))
       pending;
     let expected = Hashtbl.length by_proc in
-    emit_sink t (Trace.Event.Diff_fetch { proc = t.id; page; count = expected });
+    Proc.emit_sink t.proc (Trace.Event.Diff_fetch { proc = t.id; page; count = expected });
     Hashtbl.iter
       (fun proc ids -> send t ~dst:proc (Message.Diff_req { page; ids; requester = t.id }))
       by_proc;
@@ -616,17 +445,14 @@ let mw_apply_pending t page =
         !received
     in
     List.iter
-      (fun ((did : Proto.Interval.id), diff) ->
+      (fun (_, diff) ->
         Mem.Diff.apply diff entry.data;
-        emit_sink t
+        Proc.emit_sink t.proc
           (Trace.Event.Diff_apply
-             { proc = t.id; page; words = Mem.Diff.word_count diff });
-        if debug_enabled then
-          debug_event t ~page "apply diff p%d.%d (%d words)" did.proc did.index
-            (Mem.Diff.word_count diff))
+             { proc = t.id; page; words = Mem.Diff.word_count diff }))
       ordered;
     Sim.Engine.advance_f
-      (t.rt.cost.Sim.Cost.diff_word_ns
+      (t.env.cost.Sim.Cost.diff_word_ns
       *. float_of_int (List.fold_left (fun acc (_, d) -> acc + Mem.Diff.word_count d) 0 ordered));
     entry.pending <- []);
   entry.state <- P_read
@@ -634,23 +460,23 @@ let mw_apply_pending t page =
 let mw_write_fault t page =
   let entry = t.pages.(page) in
   if entry.state = P_invalid then mw_apply_pending t page;
-  t.rt.stats.Sim.Stats.write_faults <- t.rt.stats.Sim.Stats.write_faults + 1;
-  emit_sink t (Trace.Event.Page_fault { proc = t.id; page; kind = Proto.Race.Write });
-  flush_time t;
-  Sim.Engine.advance (t.rt.cost.Sim.Cost.fault_ns / 10);
+  t.env.stats.Sim.Stats.write_faults <- t.env.stats.Sim.Stats.write_faults + 1;
+  Proc.emit_sink t.proc (Trace.Event.Page_fault { proc = t.id; page; kind = Proto.Race.Write });
+  Proc.flush_time t.proc;
+  Sim.Engine.advance (t.env.cost.Sim.Cost.fault_ns / 10);
   entry.twin <- Some (Mem.Page.copy entry.data);
-  charge_local t
-    (t.rt.cost.Sim.Cost.page_copy_word_ns *. float_of_int (words_per_page t));
+  Proc.charge_local t.proc
+    (t.env.cost.Sim.Cost.page_copy_word_ns *. float_of_int (words_per_page t));
   entry.state <- P_write;
-  Proto.Interval.add_write_page t.cur page
+  Proto.Interval.add_write_page t.proc.cur page
 
 (* Home-based LRC faults: fetch the whole page from its home, gated on
    the version knowledge accumulated from write notices. *)
 
 let hb_read_fault t page =
   let entry = t.pages.(page) in
-  t.rt.stats.Sim.Stats.read_faults <- t.rt.stats.Sim.Stats.read_faults + 1;
-  emit_sink t (Trace.Event.Page_fault { proc = t.id; page; kind = Proto.Race.Read });
+  t.env.stats.Sim.Stats.read_faults <- t.env.stats.Sim.Stats.read_faults + 1;
+  Proc.emit_sink t.proc (Trace.Event.Page_fault { proc = t.id; page; kind = Proto.Race.Read });
   fault_prologue t;
   send t ~dst:(home_of t page)
     (Message.Home_req { page; requester = t.id; needed = Proto.Vclock.copy entry.needed });
@@ -667,107 +493,22 @@ let hb_read_fault t page =
 let hb_write_fault t page =
   let entry = t.pages.(page) in
   if entry.state = P_invalid then hb_read_fault t page;
-  t.rt.stats.Sim.Stats.write_faults <- t.rt.stats.Sim.Stats.write_faults + 1;
-  emit_sink t (Trace.Event.Page_fault { proc = t.id; page; kind = Proto.Race.Write });
-  flush_time t;
-  Sim.Engine.advance (t.rt.cost.Sim.Cost.fault_ns / 10);
+  t.env.stats.Sim.Stats.write_faults <- t.env.stats.Sim.Stats.write_faults + 1;
+  Proc.emit_sink t.proc (Trace.Event.Page_fault { proc = t.id; page; kind = Proto.Race.Write });
+  Proc.flush_time t.proc;
+  Sim.Engine.advance (t.env.cost.Sim.Cost.fault_ns / 10);
   entry.twin <- Some (Mem.Page.copy entry.data);
-  charge_local t (t.rt.cost.Sim.Cost.page_copy_word_ns *. float_of_int (words_per_page t));
+  Proc.charge_local t.proc (t.env.cost.Sim.Cost.page_copy_word_ns *. float_of_int (words_per_page t));
   entry.state <- P_write;
-  Proto.Interval.add_write_page t.cur page
+  Proto.Interval.add_write_page t.proc.cur page
 
 (* ------------------------------------------------------------------ *)
 (* Shared-memory access operations                                     *)
 
-let instrument_access t page word kind ~site =
-  (* The inserted analysis-routine call: a procedure call plus the check
-     that decides shared vs private and sets the per-page bitmap bit. *)
-  charge_category t Sim.Stats.Proc_call t.rt.cost.Sim.Cost.proc_call_ns;
-  charge_category t Sim.Stats.Access_check t.rt.cost.Sim.Cost.access_check_ns;
-  let cache =
-    match kind with Proto.Race.Read -> t.read_cache | Proto.Race.Write -> t.write_cache
-  in
-  let bitmap =
-    match Array.unsafe_get cache page with
-    | Some bm -> bm
-    | None ->
-        let bm = Mem.Bitmap.create (words_per_page t) in
-        let table =
-          match kind with Proto.Race.Read -> t.read_bits | Proto.Race.Write -> t.write_bits
-        in
-        Hashtbl.replace table page bm;
-        Array.unsafe_set cache page (Some bm);
-        bm
-  in
-  Mem.Bitmap.set bitmap word;
-  if t.rt.cfg.Config.retain_sites then begin
-    (* the extra bookkeeping the paper's section 6.1 prices out *)
-    charge_category t Sim.Stats.Access_check 60.0;
-    let key = (page, word, kind) in
-    if not (Hashtbl.mem t.cur_sites key) then Hashtbl.replace t.cur_sites key site
-  end
-
-let bad_shared addr =
-  invalid_arg (Printf.sprintf "Node: address 0x%x outside the shared segment" addr)
-
-let bad_aligned addr = invalid_arg (Printf.sprintf "Node: unaligned shared access 0x%x" addr)
-
-let check_addr t addr =
-  if t.g_fast then begin
-    if addr < t.g_base || addr >= t.g_limit then bad_shared addr;
-    if addr land t.g_word_mask <> 0 then bad_aligned addr
-  end
-  else begin
-    if not (Mem.Geometry.in_shared t.rt.geometry addr) then bad_shared addr;
-    if addr mod t.rt.geometry.Mem.Geometry.word_size <> 0 then bad_aligned addr
-  end
-
-(* Page/word of a checked address: shifts and masks on the fast path, the
-   division-based {!Mem.Geometry} functions otherwise. *)
-let page_of t addr =
-  if t.g_fast then (addr - t.g_base) lsr t.g_page_shift
-  else Mem.Geometry.page_of_addr t.rt.geometry addr
-
-let word_of t addr =
-  if t.g_fast then (addr land t.g_page_mask) lsr t.g_word_shift
-  else Mem.Geometry.word_in_page t.rt.geometry addr
-
-let observe t ~site ~addr kind =
-  match t.access_observer with
-  | Some f -> f ~site ~addr kind
-  | None -> ()
-
-(* Shared prologue of every read/write: cost charge, statistics,
-   instrumentation, watch-mode observation, oracle trace. *)
-(* An elided site skips the inserted analysis-routine call entirely (no
-   procedure-call or check charge, no bitmap bit) but keeps the base
-   instruction charge, the statistics, the watch-mode observation and
-   the oracle trace — so elision changes cost and bitmaps only, never
-   what the oracle or a watch run can see. *)
-let read_note t ~site addr page word =
-  charge_local t t.rt.cost.Sim.Cost.instr_ns;
-  t.rt.stats.Sim.Stats.shared_reads <- t.rt.stats.Sim.Stats.shared_reads + 1;
-  if detect_on t then
-    if Coherence.Elide.mem t.elide site then
-      t.rt.stats.Sim.Stats.elided_checks <- t.rt.stats.Sim.Stats.elided_checks + 1
-    else instrument_access t page word Proto.Race.Read ~site;
-  observe t ~site ~addr Proto.Race.Read;
-  trace_read t addr
-
-let write_note t ~site addr page word =
-  charge_local t t.rt.cost.Sim.Cost.instr_ns;
-  t.rt.stats.Sim.Stats.shared_writes <- t.rt.stats.Sim.Stats.shared_writes + 1;
-  if detect_on t && not (stores_from_diffs t) then
-    if Coherence.Elide.mem t.elide site then
-      t.rt.stats.Sim.Stats.elided_checks <- t.rt.stats.Sim.Stats.elided_checks + 1
-    else instrument_access t page word Proto.Race.Write ~site;
-  observe t ~site ~addr Proto.Race.Write;
-  trace_write t addr
-
 (* For the caching protocols: resolve any fault so [entry.data] holds a
    coherent copy the access may touch. *)
 let ensure_readable t page entry =
-  match t.rt.cfg.Config.protocol with
+  match t.env.cfg.Config.protocol with
   | Config.Single_writer -> (
       match entry.state with P_invalid -> sw_read_fault t page | P_read | P_write -> ())
   | Config.Multi_writer -> (
@@ -777,7 +518,7 @@ let ensure_readable t page entry =
   | Config.Seq_consistent -> ()
 
 let ensure_writable t page entry =
-  match t.rt.cfg.Config.protocol with
+  match t.env.cfg.Config.protocol with
   | Config.Single_writer -> (
       match entry.state with P_write -> () | P_invalid | P_read -> sw_write_fault t page)
   | Config.Multi_writer -> (
@@ -789,7 +530,7 @@ let ensure_writable t page entry =
 let sc_read t entry word addr =
   if t.id = 0 then Mem.Page.get_int64 entry.data word
   else begin
-    flush_time t;
+    Proc.flush_time t.proc;
     send t ~dst:0 (Message.Sc_read_req { addr; requester = t.id });
     let reply =
       await_reply t ~label:"sc read" (function
@@ -802,114 +543,97 @@ let sc_read t entry word addr =
 let sc_write t entry page word addr value =
   if t.id = 0 then begin
     Mem.Page.set_int64 entry.data word value;
-    Proto.Interval.add_write_page t.cur page
+    Proto.Interval.add_write_page t.proc.cur page
   end
   else begin
-    flush_time t;
+    Proc.flush_time t.proc;
     send t ~dst:0 (Message.Sc_write_req { addr; value; requester = t.id });
     let _ack =
       await_reply t ~label:"sc write" (function
         | Message.Sc_write_ack { addr = a } -> a = addr
         | _ -> false)
     in
-    Proto.Interval.add_write_page t.cur page
+    Proto.Interval.add_write_page t.proc.cur page
   end
 
+(* The detector's half of every access (see {!Proc.read_note}), plus the
+   site retention section 6.1 prices out; returns the page. *)
+let[@inline] access t ~site addr kind =
+  let p = t.proc in
+  Proc.check_addr p addr;
+  let page = Proc.page_of p addr in
+  let word = Proc.word_of p addr in
+  let checked =
+    match kind with
+    | Proto.Race.Read -> Proc.read_note p ~site addr page word
+    | Proto.Race.Write -> Proc.write_note p ~site addr page word
+  in
+  if checked && t.env.cfg.Config.retain_sites then begin
+    Proc.charge_category p Sim.Stats.Access_check 60.0;
+    let key = (page, word, kind) in
+    if not (Hashtbl.mem t.cur_sites key) then Hashtbl.replace t.cur_sites key site
+  end;
+  page
+
 let read_word t ?(site = "?") addr =
-  check_addr t addr;
-  let page = page_of t addr in
-  let word = word_of t addr in
-  read_note t ~site addr page word;
+  let page = access t ~site addr Proto.Race.Read in
   let entry = Array.unsafe_get t.pages page in
-  match t.rt.cfg.Config.protocol with
+  let word = Proc.word_of t.proc addr in
+  match t.env.cfg.Config.protocol with
   | Config.Seq_consistent -> sc_read t entry word addr
   | _ ->
       ensure_readable t page entry;
       Mem.Page.get_int64 entry.data word
 
 let read_word_int t ?(site = "?") addr =
-  check_addr t addr;
-  let page = page_of t addr in
-  let word = word_of t addr in
-  read_note t ~site addr page word;
+  let page = access t ~site addr Proto.Race.Read in
   let entry = Array.unsafe_get t.pages page in
-  match t.rt.cfg.Config.protocol with
+  let word = Proc.word_of t.proc addr in
+  match t.env.cfg.Config.protocol with
   | Config.Seq_consistent -> Int64.to_int (sc_read t entry word addr)
   | _ ->
       ensure_readable t page entry;
       Mem.Page.get_int entry.data word
 
 let read_word_float t ?(site = "?") addr =
-  check_addr t addr;
-  let page = page_of t addr in
-  let word = word_of t addr in
-  read_note t ~site addr page word;
+  let page = access t ~site addr Proto.Race.Read in
   let entry = Array.unsafe_get t.pages page in
-  match t.rt.cfg.Config.protocol with
+  let word = Proc.word_of t.proc addr in
+  match t.env.cfg.Config.protocol with
   | Config.Seq_consistent -> Int64.float_of_bits (sc_read t entry word addr)
   | _ ->
       ensure_readable t page entry;
       Mem.Page.get_float entry.data word
 
 let write_word t ?(site = "?") addr value =
-  check_addr t addr;
-  let page = page_of t addr in
-  let word = word_of t addr in
-  write_note t ~site addr page word;
+  let page = access t ~site addr Proto.Race.Write in
   let entry = Array.unsafe_get t.pages page in
-  match t.rt.cfg.Config.protocol with
+  let word = Proc.word_of t.proc addr in
+  match t.env.cfg.Config.protocol with
   | Config.Seq_consistent -> sc_write t entry page word addr value
   | _ ->
       ensure_writable t page entry;
-      Mem.Page.set_int64 entry.data word value;
-      if debug_enabled then debug_event t ~page "write addr=0x%x val=%Ld" addr value
+      Mem.Page.set_int64 entry.data word value
 
 let write_word_int t ?(site = "?") addr value =
-  check_addr t addr;
-  let page = page_of t addr in
-  let word = word_of t addr in
-  write_note t ~site addr page word;
+  let page = access t ~site addr Proto.Race.Write in
   let entry = Array.unsafe_get t.pages page in
-  match t.rt.cfg.Config.protocol with
+  let word = Proc.word_of t.proc addr in
+  match t.env.cfg.Config.protocol with
   | Config.Seq_consistent -> sc_write t entry page word addr (Int64.of_int value)
   | _ ->
       ensure_writable t page entry;
-      Mem.Page.set_int entry.data word value;
-      if debug_enabled then
-        debug_event t ~page "write addr=0x%x val=%Ld" addr (Int64.of_int value)
+      Mem.Page.set_int entry.data word value
 
 let write_word_float t ?(site = "?") addr value =
-  check_addr t addr;
-  let page = page_of t addr in
-  let word = word_of t addr in
-  write_note t ~site addr page word;
+  let page = access t ~site addr Proto.Race.Write in
   let entry = Array.unsafe_get t.pages page in
-  match t.rt.cfg.Config.protocol with
+  let word = Proc.word_of t.proc addr in
+  match t.env.cfg.Config.protocol with
   | Config.Seq_consistent -> sc_write t entry page word addr (Int64.bits_of_float value)
   | _ ->
       ensure_writable t page entry;
-      Mem.Page.set_float entry.data word value;
-      if debug_enabled then
-        debug_event t ~page "write addr=0x%x val=%Ld" addr (Int64.bits_of_float value)
-
-let touch_private t n =
-  (* n private accesses that survived static analysis: they pay the full
-     analysis-routine cost at runtime but never set a bitmap bit. *)
-  t.rt.stats.Sim.Stats.private_accesses <- t.rt.stats.Sim.Stats.private_accesses + n;
-  let fn = float_of_int n in
-  charge_local t (t.rt.cost.Sim.Cost.instr_ns *. fn);
-  if detect_on t then begin
-    charge_category t Sim.Stats.Proc_call (t.rt.cost.Sim.Cost.proc_call_ns *. fn);
-    charge_category t Sim.Stats.Access_check (t.rt.cost.Sim.Cost.access_check_ns *. fn)
-  end
-
-let compute t ops = charge_local t (t.rt.cost.Sim.Cost.instr_ns *. ops)
-
-let idle t ns =
-  (* unlike [compute], this advances simulated time immediately — used to
-     stage interleavings (litmus tests, scenario builders) *)
-  flush_time t;
-  Sim.Engine.advance (int_of_float ns)
+      Mem.Page.set_float entry.data word value
 
 (* ------------------------------------------------------------------ *)
 (* Locks                                                               *)
@@ -939,20 +663,20 @@ let grant_lock t ~lock ~requester ~requester_vc =
     match l.release_vc with Some vc -> vc | None -> Proto.Vclock.create t.nprocs
   in
   let intervals = unseen_intervals t ~upto ~requester_vc in
-  (match t.rt.recorder with
+  (match t.env.recorder with
   | Some recorder -> Coherence.Sync_trace.record recorder ~lock ~grantee:requester
   | None -> ());
   send t ~dst:requester
     (Message.Lock_grant { lock; granter_vc = Proto.Vclock.copy upto; intervals })
 
 let lock t lock_id =
-  flush_time t;
-  t.rt.stats.Sim.Stats.lock_acquires <- t.rt.stats.Sim.Stats.lock_acquires + 1;
+  Proc.flush_time t.proc;
+  t.env.stats.Sim.Stats.lock_acquires <- t.env.stats.Sim.Stats.lock_acquires + 1;
   let l = lock_state t lock_id in
   if l.held then invalid_arg "Node.lock: lock already held (not reentrant)";
   l.expecting <- true;
   send t ~dst:0
-    (Message.Lock_req { lock = lock_id; requester = t.id; vc = Proto.Vclock.copy t.vc });
+    (Message.Lock_req { lock = lock_id; requester = t.id; vc = Proto.Vclock.copy t.proc.vc });
   let reply =
     await_reply t ~label:(Printf.sprintf "grant of lock %d" lock_id) (function
       | Message.Lock_grant { lock; _ } -> lock = lock_id
@@ -960,33 +684,33 @@ let lock t lock_id =
   in
   match reply with
   | Message.Lock_grant { granter_vc; intervals; _ } ->
-      let _ = close_interval t in
+      close_interval t;
       List.iter (incorporate t) intervals;
-      Proto.Vclock.merge_into ~dst:t.vc granter_vc;
+      Proto.Vclock.merge_into ~dst:t.proc.vc granter_vc;
       open_interval t;
       l.expecting <- false;
       l.pending_seq <- None;
       l.held <- true;
-      emit_trace t (Racedetect.Oracle.Acquire lock_id);
-      if tracing t then
-        emit_sink t
+      Proc.emit_trace t.proc (Racedetect.Oracle.Acquire lock_id);
+      if Proc.tracing t.proc then
+        Proc.emit_sink t.proc
           (Trace.Event.Lock_acquire
-             { proc = t.id; lock = lock_id; vc = Proto.Vclock.copy t.vc })
+             { proc = t.id; lock = lock_id; vc = Proto.Vclock.copy t.proc.vc })
   | _ -> assert false
 
 let unlock t lock_id =
-  flush_time t;
+  Proc.flush_time t.proc;
   let l = lock_state t lock_id in
   if not l.held then invalid_arg "Node.unlock: lock not held";
-  let _ = close_interval t in
-  l.release_vc <- Some (Proto.Vclock.copy t.vc);
+  close_interval t;
+  l.release_vc <- Some (Proto.Vclock.copy t.proc.vc);
   open_interval t;
   l.held <- false;
-  emit_trace t (Racedetect.Oracle.Release lock_id);
-  if tracing t then
-    emit_sink t
+  Proc.emit_trace t.proc (Racedetect.Oracle.Release lock_id);
+  if Proc.tracing t.proc then
+    Proc.emit_sink t.proc
       (Trace.Event.Lock_release
-         { proc = t.id; lock = lock_id; vc = Proto.Vclock.copy t.vc });
+         { proc = t.id; lock = lock_id; vc = Proto.Vclock.copy t.proc.vc });
   match l.next_request with
   | Some (requester, requester_vc) ->
       l.next_request <- None;
@@ -1040,14 +764,14 @@ let forward_lock_req t m = function
       let seq = m.next_seq in
       m.next_seq <- seq + 1;
       m.token <- requester;
-      let delay = t.rt.cost.Sim.Cost.lock_manager_ns in
+      let delay = t.env.cost.Sim.Cost.lock_manager_ns in
       send_after t ~delay ~dst:requester (Message.Lock_ack { lock; seq });
       send_after t ~delay ~dst:target (Message.Lock_fwd { lock; requester; vc; seq })
   | _ -> assert false
 
 let rec drain_parked_requests t m ~lock =
   (* Replay mode: release parked requests in the recorded grant order. *)
-  match t.rt.cfg.Config.replay with
+  match t.env.cfg.Config.replay with
   | None -> assert false
   | Some trace -> (
       match Coherence.Sync_trace.next_grantee trace ~lock with
@@ -1080,7 +804,7 @@ let on_lock_req t msg =
   match msg with
   | Message.Lock_req { lock; _ } -> (
       let m = lock_mgr_state t lock in
-      match t.rt.cfg.Config.replay with
+      match t.env.cfg.Config.replay with
       | None -> forward_lock_req t m msg
       | Some _ ->
           Queue.add msg m.parked;
@@ -1105,17 +829,7 @@ let closed_unseen t ~vc =
 
 let master_finish_barrier t ~delay ~races =
   let b = t.barrier in
-  let races =
-    if t.rt.cfg.Config.first_race_only && b.race_seen then []
-    else begin
-      if races <> [] then b.race_seen <- true;
-      races
-    end
-  in
-  t.rt.races := races @ !(t.rt.races);
-  if tracing t then List.iter (fun r -> emit_sink t (Trace.Event.Race r)) races;
-  t.rt.stats.Sim.Stats.races_reported <- t.rt.stats.Sim.Stats.races_reported + List.length races;
-  t.rt.stats.Sim.Stats.barriers <- t.rt.stats.Sim.Stats.barriers + 1;
+  Proc.report_races t.proc races;
   List.iter
     (fun (node, vc, _) ->
       let intervals = closed_unseen t ~vc in
@@ -1129,29 +843,15 @@ let master_finish_barrier t ~delay ~races =
 
 let master_run_detection t =
   let b = t.barrier in
-  let stats = t.rt.stats in
-  let cost = t.rt.cost in
+  let stats = t.env.stats in
   let epoch_intervals =
     List.concat_map (fun (_, _, intervals) -> intervals) b.arrivals
     |> List.filter (fun iv -> iv.Proto.Interval.epoch = b.processing_epoch)
   in
-  let before = stats.Sim.Stats.interval_comparisons in
-  let probe =
-    if tracing t then
-      Some
-        (fun (e : Racedetect.Checklist.entry) ->
-          emit_sink t (Trace.Event.Check_entry { a = e.a; b = e.b; pages = e.pages }))
-    else None
+  let intervals_ns, entries =
+    Racedetect.Detector.charged_check_list ~cost:t.env.cost ~stats
+      ?probe:(Proc.check_entry_probe t.proc) epoch_intervals
   in
-  let n_concurrent, entries =
-    Racedetect.Detector.concurrent_check_list ~stats ?probe epoch_intervals
-  in
-  let comparisons = stats.Sim.Stats.interval_comparisons - before in
-  let intervals_ns =
-    (cost.Sim.Cost.vv_compare_ns *. float_of_int comparisons)
-    +. (200.0 *. float_of_int n_concurrent)
-  in
-  Sim.Stats.charge stats Sim.Stats.Intervals intervals_ns;
   let delay = int_of_float intervals_ns in
   if entries = [] then master_finish_barrier t ~delay ~races:[]
   else begin
@@ -1174,7 +874,7 @@ let master_on_arrive t ~from_ ~vc ~intervals =
   let b = t.barrier in
   if b.arrivals = [] then begin
     b.master_vc <- Proto.Vclock.create t.nprocs;
-    b.processing_epoch <- t.epoch
+    b.processing_epoch <- t.proc.epoch
   end;
   b.arrivals <- (from_, vc, intervals) :: b.arrivals;
   (* learn only: the master's page-level effects happen when it processes
@@ -1185,12 +885,6 @@ let master_on_arrive t ~from_ ~vc ~intervals =
     if detect_on t then master_run_detection t
     else master_finish_barrier t ~delay:0 ~races:[]
 
-let empty_bitmap_pair t =
-  {
-    Racedetect.Detector.reads = Mem.Bitmap.create (words_per_page t);
-    writes = Mem.Bitmap.create (words_per_page t);
-  }
-
 let master_on_bitmap_reply t ~bitmaps =
   let b = t.barrier in
   List.iter
@@ -1200,26 +894,12 @@ let master_on_bitmap_reply t ~bitmaps =
     bitmaps;
   b.expected_replies <- b.expected_replies - 1;
   if b.expected_replies = 0 then begin
-    let stats = t.rt.stats in
-    let source id ~page =
-      match Hashtbl.find_opt b.collected (id, page) with
-      | Some pair -> pair
-      | None -> empty_bitmap_pair t
-    in
-    let before = stats.Sim.Stats.bitmap_comparisons in
-    let races =
-      List.concat_map
-        (Racedetect.Detector.races_of_entry ~stats ~geometry:t.rt.geometry
-           ~epoch:b.processing_epoch ~source)
+    let bitmaps_ns, races =
+      Racedetect.Detector.charged_races ~cost:t.env.cost ~stats:t.env.stats
+        ~geometry:t.env.geometry ~epoch:b.processing_epoch
+        ~source:(Racedetect.Detector.stored_pair t.env.geometry b.collected)
         b.pending_checks
-      |> Proto.Race.dedup
     in
-    let compared = stats.Sim.Stats.bitmap_comparisons - before in
-    let bitmaps_ns =
-      t.rt.cost.Sim.Cost.bitmap_word_ns
-      *. float_of_int (3 * compared * words_per_page t)
-    in
-    Sim.Stats.charge stats Sim.Stats.Bitmaps bitmaps_ns;
     master_finish_barrier t ~delay:(int_of_float bitmaps_ns) ~races
   end
 
@@ -1233,7 +913,7 @@ let prune_intervals t =
      barrier's merged clock, which covers all such intervals. Entries still
      named by a page's pending write notices are retained — the
      happens-before sort in [mw_apply_pending] consults them. *)
-  let floor = t.epoch - 1 in
+  let floor = t.proc.epoch - 1 in
   let pinned = Hashtbl.create 16 in
   Array.iter
     (fun entry ->
@@ -1265,7 +945,7 @@ let gc_diffs t =
      drop (the requester cannot reach the dropping node's next barrier
      before its own validation fetches complete), which is why the drop
      waits a barrier. *)
-  match t.rt.cfg.Config.gc_epochs with
+  match t.env.cfg.Config.gc_epochs with
   | None -> ()
   | Some k when k <= 0 -> ()
   | Some k ->
@@ -1278,27 +958,27 @@ let gc_diffs t =
             t.diff_store []
         in
         List.iter (Hashtbl.remove t.diff_store) doomed;
-        t.rt.stats.Sim.Stats.diffs_gced <-
-          t.rt.stats.Sim.Stats.diffs_gced + List.length doomed
+        t.env.stats.Sim.Stats.diffs_gced <-
+          t.env.stats.Sim.Stats.diffs_gced + List.length doomed
       end;
-      if t.epoch mod k = 0 && t.rt.cfg.Config.protocol = Config.Multi_writer then begin
+      if t.proc.epoch mod k = 0 && t.env.cfg.Config.protocol = Config.Multi_writer then begin
         Array.iteri
           (fun page entry ->
             match entry.pending with [] -> () | _ -> mw_apply_pending t page)
           t.pages;
-        t.gc_drop_bound <- t.epoch
+        t.gc_drop_bound <- t.proc.epoch
       end
 
 let barrier t =
-  flush_time t;
-  let entered_epoch = t.epoch in
-  emit_sink t (Trace.Event.Barrier_enter { proc = t.id; epoch = entered_epoch });
-  let _ = close_interval t in
-  emit_trace t Racedetect.Oracle.Barrier;
-  let intervals = List.rev t.my_closed in
-  t.my_closed <- [];
+  Proc.flush_time t.proc;
+  let entered_epoch = t.proc.epoch in
+  Proc.emit_sink t.proc (Trace.Event.Barrier_enter { proc = t.id; epoch = entered_epoch });
+  close_interval t;
+  Proc.emit_trace t.proc Racedetect.Oracle.Barrier;
+  let intervals = List.rev t.proc.my_closed in
+  t.proc.my_closed <- [];
   send t ~dst:0
-    (Message.Barrier_arrive { from_ = t.id; vc = Proto.Vclock.copy t.vc; intervals });
+    (Message.Barrier_arrive { from_ = t.id; vc = Proto.Vclock.copy t.proc.vc; intervals });
   open_interval t;
   let reply =
     await_reply t ~label:"barrier release" (function
@@ -1307,15 +987,15 @@ let barrier t =
   in
   match reply with
   | Message.Barrier_release { master_vc; intervals; _ } ->
-      let _ = close_interval t in
+      close_interval t;
       List.iter (incorporate t) intervals;
-      Proto.Vclock.merge_into ~dst:t.vc master_vc;
-      t.epoch <- t.epoch + 1;
+      Proto.Vclock.merge_into ~dst:t.proc.vc master_vc;
+      t.proc.epoch <- t.proc.epoch + 1;
       open_interval t;
-      if tracing t then
-        emit_sink t
+      if Proc.tracing t.proc then
+        Proc.emit_sink t.proc
           (Trace.Event.Barrier_leave
-             { proc = t.id; epoch = entered_epoch; vc = Proto.Vclock.copy t.vc });
+             { proc = t.id; epoch = entered_epoch; vc = Proto.Vclock.copy t.proc.vc });
       Hashtbl.reset t.bitmap_store;
       prune_intervals t;
       gc_diffs t
@@ -1353,8 +1033,7 @@ let on_page_done t ~page =
 
 let on_copy_fwd t ~page ~requester =
   let entry = t.pages.(page) in
-  if debug_enabled then debug_event t ~page "copy_fwd -> p%d" requester;
-  charge_local t (t.rt.cost.Sim.Cost.page_copy_word_ns *. float_of_int (words_per_page t));
+  Proc.charge_local t.proc (t.env.cost.Sim.Cost.page_copy_word_ns *. float_of_int (words_per_page t));
   send t ~dst:requester
     (Message.Copy_data { page; data = Bytes.copy (Mem.Page.raw entry.data) })
 
@@ -1362,7 +1041,6 @@ let on_own_fwd t ~page ~requester =
   let entry = t.pages.(page) in
   entry.owner <- false;
   if entry.state = P_write then entry.state <- P_read;
-  if debug_enabled then debug_event t ~page "own_fwd -> p%d" requester;
   send t ~dst:requester
     (Message.Own_data { page; data = Bytes.copy (Mem.Page.raw entry.data) })
 
@@ -1373,7 +1051,7 @@ let home_state t page =
   match Hashtbl.find_opt t.home_pages page with
   | Some home -> home
   | None ->
-      let geometry = t.rt.geometry in
+      let geometry = t.env.geometry in
       let home =
         {
           home_data =
@@ -1394,7 +1072,7 @@ let on_diff_flush t ~page ~diffs ~vc =
   List.iter
     (fun (_, diff) ->
       Mem.Diff.apply diff home.home_data;
-      emit_sink t
+      Proc.emit_sink t.proc
         (Trace.Event.Diff_apply { proc = t.id; page; words = Mem.Diff.word_count diff }))
     diffs;
   Proto.Vclock.merge_into ~dst:home.home_version vc;
@@ -1435,11 +1113,7 @@ let on_bitmap_req t ~requests =
   let bitmaps =
     List.map
       (fun (interval, page) ->
-        let pair =
-          match Hashtbl.find_opt t.bitmap_store (interval, page) with
-          | Some pair -> pair
-          | None -> empty_bitmap_pair t
-        in
+        let pair = Racedetect.Detector.stored_pair t.env.geometry t.bitmap_store interval ~page in
         {
           Message.interval;
           page;
@@ -1454,14 +1128,14 @@ let on_bitmap_req t ~requests =
 (* Sequential-consistency home-node service                            *)
 
 let on_sc_read t ~addr ~requester =
-  let page = Mem.Geometry.page_of_addr t.rt.geometry addr in
-  let word = Mem.Geometry.word_in_page t.rt.geometry addr in
+  let page = Mem.Geometry.page_of_addr t.env.geometry addr in
+  let word = Mem.Geometry.word_in_page t.env.geometry addr in
   let value = Mem.Page.get_int64 t.pages.(page).data word in
   send t ~dst:requester (Message.Sc_read_reply { addr; value })
 
 let on_sc_write t ~addr ~value ~requester =
-  let page = Mem.Geometry.page_of_addr t.rt.geometry addr in
-  let word = Mem.Geometry.word_in_page t.rt.geometry addr in
+  let page = Mem.Geometry.page_of_addr t.env.geometry addr in
+  let word = Mem.Geometry.word_in_page t.env.geometry addr in
   Mem.Page.set_int64 t.pages.(page).data word value;
   send t ~dst:requester (Message.Sc_write_ack { addr })
 
@@ -1493,52 +1167,14 @@ let handle_message t msg =
   | Message.Sc_read_req { addr; requester } -> on_sc_read t ~addr ~requester
   | Message.Sc_write_req { addr; value; requester } -> on_sc_write t ~addr ~value ~requester
 
-(* ------------------------------------------------------------------ *)
-(* Memory allocation                                                   *)
-
-let malloc t ?name ?(align = 0) bytes =
-  (* Bump allocation over the shared segment. SPMD programs call this at
-     the same program points on every node, so all nodes compute identical
-     addresses — the way CVM applications use G_MALLOC. Names land in the
-     cluster symbol table (registered once, by processor 0). *)
-  if bytes < 0 then invalid_arg "Node.malloc";
-  let word = t.rt.geometry.Mem.Geometry.word_size in
-  let round v quantum = (v + quantum - 1) / quantum * quantum in
-  let start =
-    if align > 0 then round t.alloc_next align else round t.alloc_next word
-  in
-  let next = start + round bytes word in
-  if next > Mem.Geometry.limit t.rt.geometry then
-    invalid_arg "Node.malloc: shared segment exhausted";
-  t.alloc_next <- next;
-  (match name with
-  | Some name when t.id = 0 -> Mem.Symtab.register t.rt.symtab ~name ~base:start ~bytes
-  | _ -> ());
-  start
-
-let set_alloc_next t addr = t.alloc_next <- addr
-
-let set_access_observer t f = t.access_observer <- Some f
-
 let retained_site t ~interval ~page ~word ~kind =
   Hashtbl.find_opt t.site_store (interval, page, word, kind)
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 
-let create rt ~id ~nprocs =
-  let geometry = rt.geometry in
-  let page_size = geometry.Mem.Geometry.page_size in
-  let word_size = geometry.Mem.Geometry.word_size in
-  let is_pow2 n = n > 0 && n land (n - 1) = 0 in
-  let shift_of n =
-    let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
-    go 0 n
-  in
-  let g_fast =
-    is_pow2 page_size && is_pow2 word_size
-    && geometry.Mem.Geometry.base land (page_size - 1) = 0
-  in
+let create env net ~id ~nprocs =
+  let geometry = env.Proc.geometry in
   let pages =
     Array.init geometry.Mem.Geometry.pages (fun _ ->
         {
@@ -1552,43 +1188,25 @@ let create rt ~id ~nprocs =
           needed = Proto.Vclock.create nprocs;
         })
   in
-  let vc = Proto.Vclock.create nprocs in
   let t =
     {
-      rt;
+      env;
+      net;
+      proc = Proc.create env ~id ~nprocs;
       id;
       nprocs;
-      vc;
-      cur = Proto.Interval.create ~proc:id ~index:0 ~vc:(Proto.Vclock.copy vc) ~epoch:0;
-      epoch = 0;
       log = Hashtbl.create 64;
       applied = Hashtbl.create 64;
       max_seen = Array.make nprocs 0;
-      my_closed = [];
       pages;
       rw_pages = [];
       locks = Hashtbl.create 8;
-      read_bits = Hashtbl.create 16;
-      write_bits = Hashtbl.create 16;
-      read_cache = Array.make geometry.Mem.Geometry.pages None;
-      write_cache = Array.make geometry.Mem.Geometry.pages None;
       bitmap_store = Hashtbl.create 64;
       diff_store = Hashtbl.create 64;
       gc_drop_bound = -1;
-      g_fast;
-      g_base = geometry.Mem.Geometry.base;
-      g_limit = Mem.Geometry.limit geometry;
-      g_page_shift = (if g_fast then shift_of page_size else 0);
-      g_page_mask = page_size - 1;
-      g_word_shift = (if g_fast then shift_of word_size else 0);
-      g_word_mask = word_size - 1;
       cur_sites = Hashtbl.create 64;
       site_store = Hashtbl.create 256;
-      elide = Coherence.Elide.create rt.cfg.Config.elide_sites;
       replies = [];
-      debt = Array.make 1 0.0;
-      alloc_next = geometry.Mem.Geometry.base;
-      access_observer = None;
       page_mgrs =
         Array.init
           (if id = 0 then geometry.Mem.Geometry.pages else 0)
@@ -1601,25 +1219,16 @@ let create rt ~id ~nprocs =
           pending_checks = [];
           expected_replies = 0;
           collected = Hashtbl.create 64;
-          race_seen = false;
           master_vc = Proto.Vclock.create nprocs;
           check_bytes = 0;
           processing_epoch = 0;
         };
     }
   in
-  (* open the first real interval (index 1) *)
-  open_interval t;
+  log_own_interval t;
   t
 
-let id t = t.id
-let nprocs t = t.nprocs
-let epoch t = t.epoch
-let current_interval t = t.cur
-let geometry t = t.rt.geometry
-let cost t = t.rt.cost
-let stats t = t.rt.stats
-let config t = t.rt.cfg
+let proc t = t.proc
 
 let coherent_page_raw t page =
   (* This node's copy of [page], but only if it is coherent: a valid copy
@@ -1666,8 +1275,8 @@ let view t =
   {
     Coherence.Node.id = t.id;
     nprocs = t.nprocs;
-    geometry = t.rt.geometry;
-    malloc = (fun ?name ?align bytes -> malloc t ?name ?align bytes);
+    geometry = t.env.geometry;
+    malloc = Proc.malloc t.proc;
     read_word = (fun ?site addr -> read_word t ?site addr);
     write_word = (fun ?site addr value -> write_word t ?site addr value);
     read_word_int = (fun ?site addr -> read_word_int t ?site addr);
@@ -1677,7 +1286,7 @@ let view t =
     lock = (fun id -> lock t id);
     unlock = (fun id -> unlock t id);
     barrier = (fun () -> barrier t);
-    compute = (fun ops -> compute t ops);
-    idle = (fun ns -> idle t ns);
-    touch_private = (fun n -> touch_private t n);
+    compute = Proc.compute t.proc;
+    idle = Proc.idle t.proc;
+    touch_private = Proc.touch_private t.proc;
   }

@@ -6,11 +6,25 @@
    3. winnow to pairs whose read/write page lists overlap -> check list;
    4. (driven by the LRC barrier: an extra message round retrieves the
       word-level bitmaps for everything on the check list);
-   5. compare bitmaps; read-write or write-write overlap is a data race. *)
+   5. compare bitmaps; read-write or write-write overlap is a data race.
+
+   [charged_check_list] and [charged_races] are steps 2-3 and step 5 as
+   every backend's barrier runs them, with their simulated cost. *)
 
 type bitmap_pair = { reads : Mem.Bitmap.t; writes : Mem.Bitmap.t }
 
 type bitmap_source = Proto.Interval.id -> page:int -> bitmap_pair
+
+type bitmap_store = (Proto.Interval.id * int, bitmap_pair) Hashtbl.t
+
+let empty_bitmap_pair geometry =
+  let words = Mem.Geometry.words_per_page geometry in
+  { reads = Mem.Bitmap.create words; writes = Mem.Bitmap.create words }
+
+let stored_pair geometry (store : bitmap_store) id ~page =
+  match Hashtbl.find_opt store (id, page) with
+  | Some pair -> pair
+  | None -> empty_bitmap_pair geometry
 
 let concurrent_pairs ?stats intervals =
   (* Only cross-processor pairs need a comparison: intervals of one
@@ -186,6 +200,31 @@ let races_of_entry ?stats ~geometry ~epoch ~source (entry : Checklist.entry) =
         (Mem.Bitmap.inter_indices ba.writes bb.reads))
     entry.pages;
   List.rev !races
+
+let charged_check_list ~cost ~stats ?probe intervals =
+  let before = stats.Sim.Stats.interval_comparisons in
+  let n_concurrent, entries = concurrent_check_list ~stats ?probe intervals in
+  let comparisons = stats.Sim.Stats.interval_comparisons - before in
+  let ns =
+    (cost.Sim.Cost.vv_compare_ns *. float_of_int comparisons)
+    +. (200.0 *. float_of_int n_concurrent)
+  in
+  Sim.Stats.charge stats Sim.Stats.Intervals ns;
+  (ns, entries)
+
+let charged_races ~cost ~stats ~geometry ~epoch ~source entries =
+  let before = stats.Sim.Stats.bitmap_comparisons in
+  let races =
+    List.concat_map (races_of_entry ~stats ~geometry ~epoch ~source) entries
+    |> Proto.Race.dedup
+  in
+  let compared = stats.Sim.Stats.bitmap_comparisons - before in
+  let ns =
+    cost.Sim.Cost.bitmap_word_ns
+    *. float_of_int (3 * compared * Mem.Geometry.words_per_page geometry)
+  in
+  Sim.Stats.charge stats Sim.Stats.Bitmaps ns;
+  (ns, races)
 
 let first_races races =
   (* Section 6.4: barriers are semantically releases to the master followed

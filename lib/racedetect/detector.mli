@@ -9,6 +9,16 @@ type bitmap_source = Proto.Interval.id -> page:int -> bitmap_pair
     and page on the check list (in the full system, via the extra barrier
     round). *)
 
+type bitmap_store = (Proto.Interval.id * int, bitmap_pair) Hashtbl.t
+(** Frozen bitmaps keyed by (interval, page). *)
+
+val empty_bitmap_pair : Mem.Geometry.t -> bitmap_pair
+(** All-zero read and write bitmaps of one page. *)
+
+val stored_pair : Mem.Geometry.t -> bitmap_store -> bitmap_source
+(** The stored pair, or {!empty_bitmap_pair} for an (interval, page) that
+    recorded no access. *)
+
 val concurrent_pairs :
   ?stats:Sim.Stats.t -> Proto.Interval.t list -> (Proto.Interval.t * Proto.Interval.t) list
 (** Step 2: all cross-processor concurrent pairs among the epoch's
@@ -51,6 +61,30 @@ val races_of_entry :
 (** Step 5: compare word-level bitmaps for one check-list entry; every
     overlapping word is a data race (true sharing); disjoint words are
     false sharing and produce nothing. *)
+
+val charged_check_list :
+  cost:Sim.Cost.t ->
+  stats:Sim.Stats.t ->
+  ?probe:(Checklist.entry -> unit) ->
+  Proto.Interval.t list ->
+  float * Checklist.entry list
+(** Steps 2-3 as a barrier runs them: {!concurrent_check_list}, with
+    [vv_compare_ns] per interval comparison plus 200 ns per concurrent
+    pair charged to {!Sim.Stats.Intervals}. Returns that cost in ns with
+    the check list. *)
+
+val charged_races :
+  cost:Sim.Cost.t ->
+  stats:Sim.Stats.t ->
+  geometry:Mem.Geometry.t ->
+  epoch:int ->
+  source:bitmap_source ->
+  Checklist.entry list ->
+  float * Proto.Race.t list
+(** Step 5 over a whole check list: the deduplicated races of every
+    entry, with [bitmap_word_ns] for three word passes over each compared
+    page pair charged to {!Sim.Stats.Bitmaps}. Returns that cost in ns
+    with the races. *)
 
 val first_races : Proto.Race.t list -> Proto.Race.t list
 (** Section 6.4's "first race" filter: keep only races of the earliest racy

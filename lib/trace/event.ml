@@ -60,6 +60,25 @@ type t =
   (* terminal summary *)
   | Run_end of { checksum : int; sim_time_ns : int; races : int }
 
+let of_probe : Sim.Probe.event -> t = function
+  | Sim.Probe.Send { src; dst; bytes; tag } -> Msg_send { src; dst; kind = tag; bytes }
+  | Sim.Probe.Deliver { src; dst; bytes; tag } -> Msg_deliver { src; dst; kind = tag; bytes }
+  | Sim.Probe.Fault { src; dst; outcome } ->
+      let outcome =
+        match outcome with
+        | Sim.Probe.Passed { copies; extra_delay_ns } -> Passed { copies; extra_delay_ns }
+        | Sim.Probe.Dropped -> Dropped
+        | Sim.Probe.Blackholed -> Blackholed
+      in
+      Fault { src; dst; outcome }
+  | Sim.Probe.Partition { a; b; up } -> Partition { a; b; up }
+  | Sim.Probe.Retransmit { src; dst; seq } -> Retransmit { src; dst; seq }
+  | Sim.Probe.Ack_tx { src; dst; cum } -> Ack { src; dst; cum }
+  | Sim.Probe.Link_failure { src; dst } -> Link_failure { src; dst }
+  | Sim.Probe.Proc_block { pid; label } -> Proc_block { proc = pid; label }
+  | Sim.Probe.Proc_resume { pid } -> Proc_resume { proc = pid }
+  | Sim.Probe.Proc_finish { pid } -> Proc_finish { proc = pid }
+
 let equal (a : t) (b : t) =
   match (a, b) with
   | Race ra, Race rb -> Proto.Race.equal ra rb

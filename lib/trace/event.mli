@@ -56,6 +56,10 @@ type t =
       (** terminal event: final memory checksum, total simulated time, and
           deduplicated race count *)
 
+val of_probe : Sim.Probe.event -> t
+(** The trace event recording a simulation-level probe event (wire,
+    transport and scheduling decisions). *)
+
 val bus_kind_name : bus_kind -> string
 (** Short stable name ("rd", "rdx", "upgr", "upd", "wb", "sync"). *)
 

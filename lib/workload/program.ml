@@ -149,7 +149,7 @@ let binary t =
 let value pid index = ((pid + 1) * 1_000_003) + index
 
 let run_body t base node =
-  let open Lrc.Dsm in
+  let open Coherence.Dsm in
   if nprocs node <> t.nprocs then
     failwith
       (Printf.sprintf "workload %s expects %d processors, run with %d" t.name t.nprocs

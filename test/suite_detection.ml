@@ -26,7 +26,7 @@ let scenario_mixed protocol () =
   let racy = Lrc.Cluster.alloc cluster 8 in
   let striped = Lrc.Cluster.alloc cluster (3 * 8) in
   let body node =
-    let open Lrc.Dsm in
+    let open Coherence.Dsm in
     barrier node;
     with_lock node 0 (fun () ->
         let v = read_int node counter in
@@ -47,7 +47,7 @@ let test_detect_off_reports_nothing () =
   let cluster = Lrc.Cluster.create ~cfg ~nprocs:2 ~pages:2 () in
   let x = Lrc.Cluster.alloc cluster 8 in
   let body node =
-    let open Lrc.Dsm in
+    let open Coherence.Dsm in
     barrier node;
     if pid node = 0 then write_int node x 1 else ignore (read_int node x);
     barrier node
@@ -61,7 +61,7 @@ let test_race_report_details () =
   let cluster = Lrc.Cluster.create ~cfg ~nprocs:2 ~pages:2 () in
   let x = Lrc.Cluster.alloc cluster 16 in
   let body node =
-    let open Lrc.Dsm in
+    let open Coherence.Dsm in
     barrier node;
     write_int_at node x 1 (pid node) (* word 1: write-write race *);
     barrier node
@@ -85,7 +85,7 @@ let test_lock_chain_no_false_positive () =
   let cluster = Lrc.Cluster.create ~cfg ~nprocs:4 ~pages:2 () in
   let x = Lrc.Cluster.alloc cluster 8 in
   let body node =
-    let open Lrc.Dsm in
+    let open Coherence.Dsm in
     barrier node;
     (* every proc appends under the same lock: all accesses ordered *)
     with_lock node 1 (fun () ->
@@ -151,7 +151,7 @@ let run_random_program protocol procs =
   in
   let max_barriers = List.fold_left (fun acc p -> max acc (barrier_count p)) 0 procs in
   let body node =
-    let open Lrc.Dsm in
+    let open Coherence.Dsm in
     let segments = List.nth procs (pid node) in
     barrier node;
     let crossed = ref 0 in
@@ -195,7 +195,7 @@ let test_first_race_only () =
     let cluster = Lrc.Cluster.create ~cfg ~nprocs:2 ~pages:2 () in
     let x = Lrc.Cluster.alloc cluster 16 in
     let body node =
-      let open Lrc.Dsm in
+      let open Coherence.Dsm in
       barrier node;
       write_int_at node x 0 (pid node) (* race in epoch 1 *);
       barrier node;
@@ -224,7 +224,7 @@ let run_overwrite_scenario ~stores_from_diffs ~same_value =
   let cluster = Lrc.Cluster.create ~cfg ~nprocs:2 ~pages:2 () in
   let x = Lrc.Cluster.alloc cluster 8 in
   let body node =
-    let open Lrc.Dsm in
+    let open Coherence.Dsm in
     if pid node = 0 then write_int node x 7;
     barrier node;
     (* both write the word; with [same_value] p1 writes the value already
@@ -272,7 +272,7 @@ let test_site_retention_resolves_race () =
   let cluster = Lrc.Cluster.create ~cfg ~nprocs:2 ~pages:2 () in
   let x = Lrc.Cluster.alloc cluster 8 in
   let body node =
-    let open Lrc.Dsm in
+    let open Coherence.Dsm in
     barrier node;
     if pid node = 0 then write_int node x 1 ~site:"demo:publish";
     if pid node = 1 then ignore (read_int node x ~site:"demo:consume");
@@ -294,7 +294,7 @@ let test_site_retention_off_resolves_nothing () =
   let cluster = Lrc.Cluster.create ~cfg:Testutil.detect_cfg ~nprocs:2 ~pages:2 () in
   let x = Lrc.Cluster.alloc cluster 8 in
   let body node =
-    let open Lrc.Dsm in
+    let open Coherence.Dsm in
     barrier node;
     if pid node = 0 then write_int node x 1;
     if pid node = 1 then ignore (read_int node x);

@@ -63,7 +63,7 @@ let test_symbolic_race_reports () =
   let cluster = Lrc.Cluster.create ~cfg:Testutil.detect_cfg ~nprocs:2 ~pages:2 () in
   let x = Lrc.Cluster.alloc cluster 8 ~name:"shared_flag" in
   let body node =
-    let open Lrc.Dsm in
+    let open Coherence.Dsm in
     barrier node;
     if pid node = 0 then write_int node x 1;
     if pid node = 1 then ignore (read_int node x);
@@ -93,7 +93,7 @@ let test_hb_fetch_waits_for_flush () =
   let x = Lrc.Cluster.alloc cluster 8 in
   (* page 0's home is processor 0; the writer and reader are 1 and 2 *)
   let body node =
-    let open Lrc.Dsm in
+    let open Coherence.Dsm in
     barrier node;
     if pid node = 1 then with_lock node 7 (fun () -> write_int node x 42);
     if pid node = 2 then begin
@@ -133,7 +133,7 @@ let test_fragments_counted () =
   let cluster = Lrc.Cluster.create ~cost ~nprocs:2 ~pages:2 () in
   let x = Lrc.Cluster.alloc cluster 8 in
   let body node =
-    let open Lrc.Dsm in
+    let open Coherence.Dsm in
     if pid node = 0 then write_int node x 5;
     barrier node;
     if pid node = 1 then ignore (read_int node x) (* 4 KB page fetch: 4+ fragments *);
@@ -157,7 +157,7 @@ let test_jitter_coherence protocol () =
       let counter = Lrc.Cluster.alloc cluster 8 in
       let racy = Lrc.Cluster.alloc cluster 8 in
       let body node =
-        let open Lrc.Dsm in
+        let open Coherence.Dsm in
         barrier node;
         for _ = 1 to 5 do
           with_lock node 3 (fun () ->

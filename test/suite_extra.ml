@@ -67,7 +67,7 @@ let test_two_intervals_per_barrier () =
   let barriers = 6 in
   let body node =
     for _ = 1 to barriers do
-      Lrc.Dsm.barrier node
+      Coherence.Dsm.barrier node
     done
   in
   Lrc.Cluster.run cluster ~body;
@@ -82,9 +82,9 @@ let test_two_intervals_per_barrier () =
 let test_lock_creates_two_intervals () =
   let cluster = Lrc.Cluster.create ~nprocs:2 ~pages:2 () in
   let body node =
-    Lrc.Dsm.barrier node;
-    if Lrc.Dsm.pid node = 0 then Lrc.Dsm.with_lock node 3 (fun () -> ());
-    Lrc.Dsm.barrier node
+    Coherence.Dsm.barrier node;
+    if Coherence.Dsm.pid node = 0 then Coherence.Dsm.with_lock node 3 (fun () -> ());
+    Coherence.Dsm.barrier node
   in
   Lrc.Cluster.run cluster ~body;
   let stats = Lrc.Cluster.stats cluster in
@@ -101,7 +101,7 @@ let test_sc_reads_latest () =
   let x = Lrc.Cluster.alloc cluster 8 in
   let seen = ref (-1) in
   let body node =
-    let open Lrc.Dsm in
+    let open Coherence.Dsm in
     barrier node;
     if pid node = 0 then begin
       compute node 50_000.0;
@@ -125,7 +125,7 @@ let test_consolidate_runs_detection () =
   let cluster = Lrc.Cluster.create ~cfg ~nprocs:2 ~pages:2 () in
   let x = Lrc.Cluster.alloc cluster 8 in
   let body node =
-    let open Lrc.Dsm in
+    let open Coherence.Dsm in
     barrier node;
     (* a lock-only program with a race; no barrier until consolidation *)
     with_lock node 1 (fun () -> ());
@@ -146,7 +146,7 @@ let test_float_roundtrip_through_dsm () =
   let x = Lrc.Cluster.alloc cluster 16 in
   let got = ref 0.0 in
   let body node =
-    let open Lrc.Dsm in
+    let open Coherence.Dsm in
     if pid node = 0 then begin
       write_float node x 3.14159265;
       write_float node (x + 8) (-0.0)
@@ -176,7 +176,7 @@ let test_detect_changes_traffic_only_in_detect_runs () =
     let cluster = Lrc.Cluster.create ~cfg ~nprocs:2 ~pages:2 () in
     let x = Lrc.Cluster.alloc cluster 8 in
     let body node =
-      let open Lrc.Dsm in
+      let open Coherence.Dsm in
       barrier node;
       if pid node = 0 then write_int node x 1 else ignore (read_int node x);
       barrier node
@@ -281,7 +281,7 @@ let test_timeline_rows () =
   let cluster = Lrc.Cluster.create ~cfg ~nprocs:2 ~pages:2 () in
   let x = Lrc.Cluster.alloc cluster 8 in
   let body node =
-    let open Lrc.Dsm in
+    let open Coherence.Dsm in
     barrier node;
     with_lock node 1 (fun () -> write_int node x (pid node));
     barrier node

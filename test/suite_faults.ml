@@ -33,7 +33,7 @@ let test_lossy_coherence protocol () =
       let counter = Lrc.Cluster.alloc cluster 8 in
       let racy = Lrc.Cluster.alloc cluster 8 in
       let body node =
-        let open Lrc.Dsm in
+        let open Coherence.Dsm in
         barrier node;
         for _ = 1 to 5 do
           with_lock node 3 (fun () ->
@@ -118,7 +118,7 @@ let test_capped_retries_structured_diagnosis () =
     }
   in
   let cluster = Lrc.Cluster.create ~cfg ~nprocs:2 ~pages:2 () in
-  match Lrc.Cluster.run cluster ~body:(fun node -> Lrc.Dsm.barrier node) with
+  match Lrc.Cluster.run cluster ~body:(fun node -> Coherence.Dsm.barrier node) with
   | () -> Alcotest.fail "expected Deadlock"
   | exception Sim.Engine.Deadlock diagnosis ->
       let text = Sim.Engine.diagnosis_to_string diagnosis in
@@ -144,7 +144,7 @@ let test_watchdog_breaks_retransmission_livelock () =
     }
   in
   let cluster = Lrc.Cluster.create ~cfg ~nprocs:2 ~pages:2 () in
-  match Lrc.Cluster.run cluster ~body:(fun node -> Lrc.Dsm.barrier node) with
+  match Lrc.Cluster.run cluster ~body:(fun node -> Coherence.Dsm.barrier node) with
   | () -> Alcotest.fail "expected stall Deadlock"
   | exception Sim.Engine.Deadlock diagnosis ->
       check Alcotest.bool "watchdog verdict" true diagnosis.Sim.Engine.diag_stalled;
@@ -157,7 +157,7 @@ let test_watchdog_quiet_on_healthy_run () =
   let cluster = Lrc.Cluster.create ~cfg ~nprocs:4 ~pages:4 () in
   let counter = Lrc.Cluster.alloc cluster 8 in
   Lrc.Cluster.run cluster ~body:(fun node ->
-      let open Lrc.Dsm in
+      let open Coherence.Dsm in
       barrier node;
       with_lock node 0 (fun () ->
           write_int node counter (read_int node counter + 1));

@@ -20,7 +20,7 @@ let test_barrier_publishes protocol () =
   let cluster = Lrc.Cluster.create ~cfg ~nprocs:4 ~pages:4 () in
   let base = Lrc.Cluster.alloc cluster (4 * 8) in
   let body node =
-    let open Lrc.Dsm in
+    let open Coherence.Dsm in
     write_int_at node base (pid node) (100 + pid node);
     barrier node;
     (* everyone checks everyone's slot *)
@@ -41,7 +41,7 @@ let test_lock_counter protocol () =
   let counter = Lrc.Cluster.alloc cluster 8 in
   let rounds = 10 in
   let body node =
-    let open Lrc.Dsm in
+    let open Coherence.Dsm in
     barrier node;
     for _ = 1 to rounds do
       with_lock node 5 (fun () ->
@@ -70,7 +70,7 @@ let test_lost_update_stress ~seed ~detect () =
   let rng_master = Sim.Rng.create ~seed in
   let rngs = Array.init worker_count (fun _ -> Sim.Rng.split rng_master) in
   let body node =
-    let open Lrc.Dsm in
+    let open Coherence.Dsm in
     let rng = rngs.(pid node) in
     barrier node;
     for r = 1 to rounds do
@@ -104,7 +104,7 @@ let test_stale_read_before_sync () =
   let x = Lrc.Cluster.alloc cluster 8 in
   let observed = ref (-1) in
   let body node =
-    let open Lrc.Dsm in
+    let open Coherence.Dsm in
     if pid node = 0 then write_int node x 1;
     barrier node;
     (* p1 warms its copy; p0 overwrites without synchronizing *)
@@ -136,7 +136,7 @@ let test_multi_writer_merges () =
   let cluster = Lrc.Cluster.create ~cfg ~nprocs:4 ~pages:2 () in
   let base = Lrc.Cluster.alloc cluster (64 * 8) in
   let body node =
-    let open Lrc.Dsm in
+    let open Coherence.Dsm in
     barrier node;
     (* everyone writes a disjoint stripe of the SAME page concurrently *)
     for k = 0 to 15 do
@@ -157,71 +157,74 @@ let test_multi_writer_merges () =
   check Alcotest.bool "diffs were created" true (stats.Sim.Stats.diffs_created > 0)
 
 (* ------------------------------------------------------------------ *)
-(* API misuse errors                                                   *)
+(* API misuse errors and allocation, on every backend                  *)
 
-let test_lock_not_reentrant () =
-  let cluster = Lrc.Cluster.create ~nprocs:1 ~pages:2 () in
+let machine ~nprocs ~pages backend =
+  Backends.create ~cfg:{ Coherence.Config.default with Coherence.Config.backend } ~nprocs
+    ~pages ()
+
+(* [body backend] runs once per registered backend. *)
+let on_every_backend body () = List.iter body Backends.all
+
+let expect_invalid backend ~fragment f =
+  match f () with
+  | () -> Alcotest.fail (backend ^ ": expected Invalid_argument")
+  | exception Invalid_argument m ->
+      check Alcotest.bool (backend ^ " message: " ^ m) true (Testutil.contains m fragment)
+
+let test_lock_not_reentrant backend =
+  let m = machine ~nprocs:1 ~pages:2 backend in
   let body node =
-    Lrc.Dsm.lock node 1;
-    Lrc.Dsm.lock node 1
+    Coherence.Dsm.lock node 1;
+    Coherence.Dsm.lock node 1
   in
-  match Lrc.Cluster.run cluster ~body with
-  | () -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument m ->
-      check Alcotest.bool "message" true (Testutil.contains m "already held")
+  expect_invalid backend ~fragment:"already held" (fun () -> m.Coherence.Backend.run body)
 
-let test_unlock_without_lock () =
-  let cluster = Lrc.Cluster.create ~nprocs:1 ~pages:2 () in
-  match Lrc.Cluster.run cluster ~body:(fun node -> Lrc.Dsm.unlock node 1) with
-  | () -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument m ->
-      check Alcotest.bool "message" true (Testutil.contains m "not held")
+let test_unlock_without_lock backend =
+  let m = machine ~nprocs:1 ~pages:2 backend in
+  expect_invalid backend ~fragment:"not held" (fun () ->
+      m.Coherence.Backend.run (fun node -> Coherence.Dsm.unlock node 1))
 
-let test_unaligned_access_rejected () =
-  let cluster = Lrc.Cluster.create ~nprocs:1 ~pages:2 () in
-  let x = Lrc.Cluster.alloc cluster 16 in
-  match Lrc.Cluster.run cluster ~body:(fun node -> ignore (Lrc.Dsm.read_int node (x + 3))) with
-  | () -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument m ->
-      check Alcotest.bool "message" true (Testutil.contains m "unaligned")
+let test_unaligned_access_rejected backend =
+  let m = machine ~nprocs:1 ~pages:2 backend in
+  let x = m.Coherence.Backend.alloc 16 in
+  expect_invalid backend ~fragment:"unaligned" (fun () ->
+      m.Coherence.Backend.run (fun node -> ignore (Coherence.Dsm.read_int node (x + 3))))
 
-let test_private_address_rejected () =
-  let cluster = Lrc.Cluster.create ~nprocs:1 ~pages:2 () in
-  match Lrc.Cluster.run cluster ~body:(fun node -> ignore (Lrc.Dsm.read_int node 64)) with
-  | () -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument m ->
-      check Alcotest.bool "message" true (Testutil.contains m "outside the shared segment")
+let test_private_address_rejected backend =
+  let m = machine ~nprocs:1 ~pages:2 backend in
+  expect_invalid backend ~fragment:"outside the shared segment" (fun () ->
+      m.Coherence.Backend.run (fun node -> ignore (Coherence.Dsm.read_int node 64)))
 
-(* ------------------------------------------------------------------ *)
-(* Allocation                                                          *)
+let test_alloc_alignment backend =
+  let m = machine ~nprocs:1 ~pages:8 backend in
+  let a = m.Coherence.Backend.alloc 24 in
+  let b = m.Coherence.Backend.alloc ~align:4096 8 in
+  check Alcotest.int (backend ^ " page aligned") 0 (b mod 4096);
+  check Alcotest.bool (backend ^ " disjoint") true (b >= a + 24)
 
-let test_alloc_alignment () =
-  let cluster = Lrc.Cluster.create ~nprocs:1 ~pages:8 () in
-  let a = Lrc.Cluster.alloc cluster 24 in
-  let b = Lrc.Cluster.alloc cluster ~align:4096 8 in
-  check Alcotest.int "page aligned" 0 (b mod 4096);
-  check Alcotest.bool "disjoint" true (b >= a + 24)
+let test_alloc_exhaustion backend =
+  let m = machine ~nprocs:1 ~pages:1 backend in
+  let who = if backend = "lrc" then "Cluster.alloc" else "Machine.alloc" in
+  Alcotest.check_raises (backend ^ " exhausted")
+    (Invalid_argument (who ^ ": shared segment exhausted"))
+    (fun () -> ignore (m.Coherence.Backend.alloc 8192))
 
-let test_alloc_exhaustion () =
-  let cluster = Lrc.Cluster.create ~nprocs:1 ~pages:1 () in
-  Alcotest.check_raises "exhausted" (Invalid_argument "Cluster.alloc: shared segment exhausted")
-    (fun () -> ignore (Lrc.Cluster.alloc cluster 8192))
-
-let test_node_malloc_follows_cluster_alloc () =
-  let cluster = Lrc.Cluster.create ~nprocs:2 ~pages:8 () in
-  let a = Lrc.Cluster.alloc cluster 64 in
+let test_node_malloc_follows_cluster_alloc backend =
+  let m = machine ~nprocs:2 ~pages:8 backend in
+  let a = m.Coherence.Backend.alloc 64 in
   let got = ref [] in
   let body node =
-    let addr = Lrc.Dsm.malloc node 8 in
+    let addr = Coherence.Dsm.malloc node 8 in
     got := addr :: !got;
-    Lrc.Dsm.barrier node
+    Coherence.Dsm.barrier node
   in
-  Lrc.Cluster.run cluster ~body;
+  m.Coherence.Backend.run body;
   match !got with
   | [ x; y ] ->
-      check Alcotest.int "same SPMD address" x y;
-      check Alcotest.bool "after cluster alloc" true (x >= a + 64)
-  | _ -> Alcotest.fail "expected two allocations"
+      check Alcotest.int (backend ^ " same SPMD address") x y;
+      check Alcotest.bool (backend ^ " after pre-run alloc") true (x >= a + 64)
+  | _ -> Alcotest.fail (backend ^ ": expected two allocations")
 
 (* ------------------------------------------------------------------ *)
 (* Synchronization-order record and replay (ROLT-style)                *)
@@ -246,7 +249,7 @@ let test_record_replay () =
     Lrc.Cluster.create ~cost ~cfg ~nprocs:4 ~pages:4 ()
   in
   let body counter node =
-    let open Lrc.Dsm in
+    let open Coherence.Dsm in
     barrier node;
     for _ = 1 to 5 do
       with_lock node 9 (fun () ->
@@ -286,7 +289,7 @@ let test_deterministic_runs () =
     let cluster = Lrc.Cluster.create ~cfg ~nprocs:4 ~pages:4 () in
     let x = Lrc.Cluster.alloc cluster 64 in
     let body node =
-      let open Lrc.Dsm in
+      let open Coherence.Dsm in
       barrier node;
       with_lock node 2 (fun () ->
           let v = read_int node x in
@@ -330,14 +333,17 @@ let suite =
         [ 1; 4; 9; 27 ] );
     ( "lrc:api",
       [
-        Alcotest.test_case "lock not reentrant" `Quick test_lock_not_reentrant;
-        Alcotest.test_case "unlock without lock" `Quick test_unlock_without_lock;
-        Alcotest.test_case "unaligned rejected" `Quick test_unaligned_access_rejected;
-        Alcotest.test_case "private rejected" `Quick test_private_address_rejected;
-        Alcotest.test_case "alloc alignment" `Quick test_alloc_alignment;
-        Alcotest.test_case "alloc exhaustion" `Quick test_alloc_exhaustion;
+        Alcotest.test_case "lock not reentrant" `Quick (on_every_backend test_lock_not_reentrant);
+        Alcotest.test_case "unlock without lock" `Quick
+          (on_every_backend test_unlock_without_lock);
+        Alcotest.test_case "unaligned rejected" `Quick
+          (on_every_backend test_unaligned_access_rejected);
+        Alcotest.test_case "private rejected" `Quick
+          (on_every_backend test_private_address_rejected);
+        Alcotest.test_case "alloc alignment" `Quick (on_every_backend test_alloc_alignment);
+        Alcotest.test_case "alloc exhaustion" `Quick (on_every_backend test_alloc_exhaustion);
         Alcotest.test_case "node malloc follows cluster" `Quick
-          test_node_malloc_follows_cluster_alloc;
+          (on_every_backend test_node_malloc_follows_cluster_alloc);
       ] );
     ( "lrc:replay",
       [

@@ -267,7 +267,7 @@ let test_log_only_reconstruction () =
   let cluster = Lrc.Cluster.create ~cfg ~nprocs:4 ~pages:4 () in
   let racy = Lrc.Cluster.alloc cluster 8 in
   Lrc.Cluster.run cluster ~body:(fun node ->
-      let open Lrc.Dsm in
+      let open Coherence.Dsm in
       barrier node;
       if pid node = 0 then write_int node racy 1;
       if pid node = 3 then ignore (read_int node racy);
